@@ -9,18 +9,23 @@
 // across PRs. Files written by the old single-snapshot format are upgraded
 // in place, keeping their numbers as the first entry.
 //
-// The -gate flag turns the run into a regression check: after recording,
-// `-gate BenchmarkServeHTTPCached=2` exits non-zero if that benchmark's
-// allocs/op exceeds the given ceiling, and
-// `-gate BenchmarkCompiledBlobSize:cps4-over-cps3=0.6` gates a
+// A `go test -count N` run prints N sample lines per benchmark; each result
+// records the median of every column over them (plus the min and max when
+// there is more than one sample), the sample count, and the GOMAXPROCS the
+// samples ran at (the -N name suffix; 1 when absent).
+//
+// The -gate flag turns the run into a regression check on the medians: after
+// recording, `-gate BenchmarkServeHTTPCached=2` exits non-zero if that
+// benchmark's allocs/op exceeds the given ceiling, and
+// `-gate BenchmarkCompiledBlobSizeV5:cps5-bytes=117800` gates a
 // b.ReportMetric value instead (the part after the colon names the metric
 // unit). CI uses both to fail on serving-path allocation regressions and on
-// quantised-blob size regressions.
+// compiled-blob size and speed regressions.
 //
 // Usage:
 //
-//	go test -run=NONE -bench=. -benchmem . | benchjson -out BENCH_serving.json \
-//	    -gate BenchmarkServeHTTPCached=2 -gate BenchmarkCompiledBlobSize:cps4-over-cps3=0.6
+//	go test -run=NONE -bench=. -benchmem -count 5 . | benchjson -out BENCH_serving.json \
+//	    -gate BenchmarkServeHTTPCached=2 -gate BenchmarkCompiledBlobSizeV5:cps5-bytes=117800
 package main
 
 import (
@@ -31,18 +36,27 @@ import (
 	"log"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Result is one benchmark's parsed measurements. Standard -benchmem columns
-// get first-class fields; b.ReportMetric extras land in Metrics.
+// Result is one benchmark's measurements: the median over its samples of
+// every column. Standard -benchmem columns get first-class fields;
+// b.ReportMetric extras land in Metrics. Min and Max hold each column's
+// extremes, keyed by unit ("ns/op", "allocs/op", a metric's unit), when
+// there was more than one sample. Entries recorded before samples were
+// kept carry neither those nor GOMAXPROCS and Samples.
 type Result struct {
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  *float64           `json:"b_per_op,omitempty"`
 	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	GOMAXPROCS  int                `json:"gomaxprocs,omitempty"`
+	Samples     int                `json:"samples,omitempty"`
+	Min         map[string]float64 `json:"min,omitempty"`
+	Max         map[string]float64 `json:"max,omitempty"`
 }
 
 // Entry is one recorded run: environment header lines plus results keyed by
@@ -88,34 +102,11 @@ func main() {
 	flag.Parse()
 
 	stamp, dirty := resolveCommit(*commit)
-	entry := Entry{Commit: stamp, Dirty: dirty, Benchmarks: make(map[string]Result)}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			entry.GOOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			entry.GOARCH = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "cpu:"):
-			entry.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		case strings.HasPrefix(line, "Benchmark"):
-			name, res, err := parseBenchLine(line)
-			if err != nil {
-				log.Printf("skipping %q: %v", line, err)
-				continue
-			}
-			entry.Benchmarks[name] = res
-		}
-		// PASS/FAIL/ok lines and test noise fall through silently.
-	}
-	if err := sc.Err(); err != nil {
+	entry, err := parseRun(bufio.NewScanner(os.Stdin))
+	if err != nil {
 		log.Fatal(err)
 	}
-	if len(entry.Benchmarks) == 0 {
-		log.Fatal("no benchmark lines found on stdin")
-	}
+	entry.Commit, entry.Dirty = stamp, dirty
 
 	doc := readTrajectory(*out)
 	doc.upsert(entry)
@@ -217,7 +208,7 @@ func (o *Output) upsert(e Entry) {
 }
 
 // applyGates enforces `Benchmark=maxAllocs` and `Benchmark:metric=max`
-// ceilings against the new entry.
+// ceilings against the new entry's medians.
 func applyGates(e Entry, gates []string) error {
 	for _, g := range gates {
 		name, limitStr, ok := strings.Cut(g, "=")
@@ -257,50 +248,132 @@ func applyGates(e Entry, gates []string) error {
 	return nil
 }
 
-// parseBenchLine decodes one result line of the standard bench format:
-//
-//	BenchmarkName-8   12345   678.9 ns/op   10 B/op   2 allocs/op   1.0 extra-metric
-func parseBenchLine(line string) (string, Result, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 {
-		return "", Result{}, fmt.Errorf("want >= 4 fields, got %d", len(fields))
-	}
-	name := fields[0]
-	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i] // strip the GOMAXPROCS suffix
+// sampleSet accumulates one benchmark's -count samples, column by column.
+type sampleSet struct {
+	procs int
+	iters []float64
+	cols  map[string][]float64 // unit -> one value per sample
+}
+
+// parseRun reads a `go test -bench` transcript into an entry: header lines
+// set the environment, and every benchmark's samples reduce to one Result.
+func parseRun(sc *bufio.Scanner) (Entry, error) {
+	entry := Entry{Benchmarks: make(map[string]Result)}
+	sets := make(map[string]*sampleSet)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "goos:"):
+			entry.GOOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
+		case strings.HasPrefix(line, "goarch:"):
+			entry.GOARCH = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+		case strings.HasPrefix(line, "cpu:"):
+			entry.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case strings.HasPrefix(line, "Benchmark"):
+			name, procs, iters, cols, err := parseBenchLine(line)
+			if err != nil {
+				log.Printf("skipping %q: %v", line, err)
+				continue
+			}
+			set := sets[name]
+			if set == nil {
+				set = &sampleSet{procs: procs, cols: make(map[string][]float64)}
+				sets[name] = set
+			}
+			if procs != set.procs {
+				return entry, fmt.Errorf("%s ran at GOMAXPROCS %d and %d; record one setting per run", name, set.procs, procs)
+			}
+			set.iters = append(set.iters, float64(iters))
+			for unit, v := range cols {
+				set.cols[unit] = append(set.cols[unit], v)
+			}
 		}
+		// PASS/FAIL/ok lines and test noise fall through silently.
 	}
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return "", Result{}, fmt.Errorf("iterations: %v", err)
+	if err := sc.Err(); err != nil {
+		return entry, err
 	}
-	res := Result{Iterations: iters}
-	seenNs := false
-	for i := 2; i+1 < len(fields); i += 2 {
-		val, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			return "", Result{}, fmt.Errorf("value %q: %v", fields[i], err)
-		}
-		switch unit := fields[i+1]; unit {
+	if len(sets) == 0 {
+		return entry, fmt.Errorf("no benchmark lines found on stdin")
+	}
+	for name, set := range sets {
+		entry.Benchmarks[name] = set.summarise()
+	}
+	return entry, nil
+}
+
+// summarise reduces the samples to their medians, plus min and max per
+// column when there is more than one sample.
+func (s *sampleSet) summarise() Result {
+	res := Result{Iterations: int64(median(s.iters)), GOMAXPROCS: s.procs, Samples: len(s.iters)}
+	for unit, vals := range s.cols {
+		med := median(vals)
+		switch unit {
 		case "ns/op":
-			res.NsPerOp = val
-			seenNs = true
+			res.NsPerOp = med
 		case "B/op":
-			v := val
-			res.BytesPerOp = &v
+			res.BytesPerOp = &med
 		case "allocs/op":
-			v := val
-			res.AllocsPerOp = &v
+			res.AllocsPerOp = &med
 		default:
 			if res.Metrics == nil {
 				res.Metrics = make(map[string]float64)
 			}
-			res.Metrics[unit] = val
+			res.Metrics[unit] = med
+		}
+		if len(s.iters) > 1 {
+			if res.Min == nil {
+				res.Min, res.Max = make(map[string]float64), make(map[string]float64)
+			}
+			res.Min[unit], res.Max[unit] = slices.Min(vals), slices.Max(vals)
 		}
 	}
-	if !seenNs {
-		return "", Result{}, fmt.Errorf("no ns/op column")
+	return res
+}
+
+// median returns the middle value (the mean of the two middle values for an
+// even count).
+func median(vals []float64) float64 {
+	v := slices.Sorted(slices.Values(vals))
+	n := len(v)
+	if n%2 == 1 {
+		return v[n/2]
 	}
-	return name, res, nil
+	return (v[n/2-1] + v[n/2]) / 2
+}
+
+// parseBenchLine decodes one result line of the standard bench format:
+//
+//	BenchmarkName-8   12345   678.9 ns/op   10 B/op   2 allocs/op   1.0 extra-metric
+//
+// into the bare name, the GOMAXPROCS suffix (1 when absent), the iteration
+// count and the value of every unit column.
+func parseBenchLine(line string) (string, int, int64, map[string]float64, error) {
+	fields := strings.Fields(line)
+	if len(fields) < 4 {
+		return "", 0, 0, nil, fmt.Errorf("want >= 4 fields, got %d", len(fields))
+	}
+	name, procs := fields[0], 1
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
+		}
+	}
+	iters, err := strconv.ParseInt(fields[1], 10, 64)
+	if err != nil {
+		return "", 0, 0, nil, fmt.Errorf("iterations: %v", err)
+	}
+	cols := make(map[string]float64)
+	for i := 2; i+1 < len(fields); i += 2 {
+		val, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil {
+			return "", 0, 0, nil, fmt.Errorf("value %q: %v", fields[i], err)
+		}
+		cols[fields[i+1]] = val
+	}
+	if _, ok := cols["ns/op"]; !ok {
+		return "", 0, 0, nil, fmt.Errorf("no ns/op column")
+	}
+	return name, procs, iters, cols, nil
 }

@@ -95,8 +95,8 @@ func main() {
 		firsts   []time.Duration
 		armLats  = make(map[string][]time.Duration)
 	)
-	// Report how the server's model materialised (mmap vs heap, and how
-	// fast) so cold-start wins are visible from the traffic side too.
+	// Report how the server's model materialised (file version and load
+	// time) so cold-start costs are visible from the traffic side too.
 	if h := fetchHealth(client, *addr); h != nil && h.LoadMode != "" {
 		log.Printf("server model: load mode %s (%s), loaded in %dus, generation %d",
 			h.LoadMode, h.LoadVersion, h.LoadMicros, h.Generation)

@@ -18,7 +18,7 @@
 //
 //	serve -arms champion=model.bin:90,challenger=model2.bin:10,next=model3.bin:0
 //
-// Shard fan-out — in-process loopback ring (one mmapped model, 3 partitions):
+// Shard fan-out — in-process loopback ring (one shared model, 3 partitions):
 //
 //	serve -role router -shards 3 -model model.bin
 //
@@ -42,10 +42,6 @@
 // swapped in behind an atomic pointer; in-flight requests finish on the old
 // one and no traffic is dropped. SIGINT/SIGTERM drain connections before
 // exiting.
-//
-// -map-willneed and -mlock request best-effort kernel paging hints for the
-// mmapped compiled blob (readahead / eviction pinning); the applied outcome
-// is logged and surfaced in /healthz as model_map_advice.
 package main
 
 import (
@@ -71,35 +67,20 @@ import (
 	"repro/internal/stream"
 )
 
-// loadOpts carries the flag-gated mmap paging hints into every model load.
-var loadOpts core.LoadOptions
-
-// batchWorkers carries -batch-workers into every model load (reloads
-// included): 0 fans batch descents across GOMAXPROCS goroutines, 1 keeps
-// them sequential. Answers are bit-identical either way.
-var batchWorkers int
-
 // loadModel loads through core.LoadAnyPath so every container format is
-// addressable by file path: V003/V004 MVMM files take the mmap fast path
-// (the compiled serving form is mapped, not decoded, which makes cold starts
-// and SIGHUP reloads near-instant and shares trie pages across server
-// processes), and QRECF001 family containers (HMM, cluster, pairwise) load
-// as Predictor-backed arms.
+// addressable by file path: QRECV005 MVMM files decode only their compiled
+// blob (the interpreted mixture is decoded on first use, which keeps cold
+// starts and SIGHUP reloads cheap), older QRECV files compile their mixture,
+// and QRECF001 family containers (HMM, cluster, pairwise) load as
+// Predictor-backed arms.
 func loadModel(path string) (core.Recommender, error) {
-	rec, err := core.LoadAnyPath(path, loadOpts)
+	rec, err := core.LoadAnyPath(path, core.LoadOptions{})
 	if err != nil {
 		return nil, err
 	}
-	if bw, ok := rec.(interface{ SetBatchWorkers(int) }); ok {
-		bw.SetBatchWorkers(batchWorkers)
-	}
 	li := rec.LoadInfo()
-	advice := li.MapAdvice
-	if advice == "" {
-		advice = "none"
-	}
-	log.Printf("model load: path=%s mode=%s version=%s blob=%s/%dB advice=%s took=%s",
-		path, li.Mode, li.Version, li.Format, li.BlobBytes, advice, li.Duration.Round(time.Microsecond))
+	log.Printf("model load: path=%s mode=%s version=%s blob=%s/%dB took=%s",
+		path, li.Mode, li.Version, li.Format, li.BlobBytes, li.Duration.Round(time.Microsecond))
 	return rec, nil
 }
 
@@ -123,9 +104,6 @@ func main() {
 		cacheCap  = flag.Int("cache", 0, "result cache capacity (0 = default; loopback rings split it across shards)")
 		quiet     = flag.Bool("quiet", false, "disable per-request logging")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
-		willNeed  = flag.Bool("map-willneed", false, "madvise(WILLNEED) the mmapped compiled blob: asynchronous readahead instead of first-touch page faults")
-		mlock     = flag.Bool("mlock", false, "mlock(2) the mmapped compiled blob: pin trie pages against eviction (needs RLIMIT_MEMLOCK)")
-		batchW    = flag.Int("batch-workers", 0, "goroutines per batch descent (0 = GOMAXPROCS, 1 = sequential; answers are identical)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the serving address (keep off on exposed listeners)")
 	)
 	var ingest ingestOpts
@@ -145,8 +123,6 @@ func main() {
 	flag.Float64Var(&ingest.rampMinOverlap, "ramp-min-overlap", 0, "freeze the ramp when mean rank overlap falls below this (0 = off)")
 	flag.BoolVar(&ingest.rampPromote, "ramp-promote", false, "after the final ramp step's hold, swap the challenger into the champion slot and advance the interning base")
 	flag.Parse()
-	loadOpts = core.LoadOptions{MapWillNeed: *willNeed, MapLock: *mlock}
-	batchWorkers = *batchW
 
 	var handler http.Handler
 	var onHUP func()

@@ -7,7 +7,7 @@
 //	train -log search.log -model hmm.bin -family hmm
 //
 // The default (no -family) trains the paper's MVMM pipeline and writes a
-// QRECV container. With -family one of the other paper model families is
+// QRECV005 container. With -family one of the other paper model families is
 // trained instead and written as a QRECF001 container, loadable by cmd/serve
 // as a fleet arm (or, for adjacency, as a -rerank model):
 //
@@ -46,7 +46,6 @@ func main() {
 		threshold = flag.Int("threshold", 5, "data-reduction frequency threshold (paper: 5; -1 disables)")
 		epsilons  = flag.String("epsilons", "", "comma-separated VMM growth thresholds (default: the paper's 0.0..0.1)")
 		family    = flag.String("family", "", "train a non-MVMM model family instead: hmm, cluster, adjacency or cooccurrence")
-		format    = flag.String("format", "QRECV005", "MVMM container version to write: QRECV001..QRECV005 (V005 = compact CPS5 blob, V004 = quantised, V003 = exact compiled)")
 	)
 	flag.Parse()
 	if *logPath == "" {
@@ -93,7 +92,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer out.Close()
-	if err := rec.SaveAs(out, *format); err != nil {
+	if err := rec.Save(out); err != nil {
 		log.Fatal(err)
 	}
 	info, _ := out.Stat()

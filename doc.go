@@ -31,18 +31,16 @@
 //
 // # Persistent formats
 //
-// The compiled form has two mmap-able persistent encodings. CPS3 (inside
-// QRECV003 model files) stores every CSR array as exact fixed-width
-// little-endian values at aligned offsets, so core.LoadPath maps the file
-// and slices the arrays out of the page cache — no decoding, lazy page-in,
-// read-only sharing across processes. CPS4 (inside QRECV004, the Save
-// default) keeps that contract but quantises follower probabilities to
-// fixed-point uint16 against per-node float32 steps and narrows every node
-// array to its needed width, shrinking the serving blob by roughly half at
-// a bounded (≤ ~2e-5 absolute) probability error; Table VII reports both
-// blob sizes. Platforms without mmap or little-endian layout decode the
-// same blobs portably; V001–V003 files still load, and SaveAs still writes
-// the exact V002/V003 forms.
+// The compiled form has one persistent encoding, CPS5, stored in QRECV005
+// model files (the only version Save writes): follower probabilities as
+// fixed-point uint16 against per-node float32 steps, follower IDs and CSR
+// offsets as varint delta streams, node arrays narrowed to their needed
+// width — a bounded (≤ ~2e-5 absolute) probability error for a blob Table
+// VII reports next to the interpreted models. Loading verifies the blob's
+// CRC and decodes it once into the same arrays Compile builds, so a loaded
+// model serves through the compiled model's code path; core.LoadPath
+// defers the interpreted-mixture decode until first use. QRECV001–004
+// files still load by compiling their mixture section.
 //
 // # Serving layer
 //
@@ -52,8 +50,8 @@
 // the server with SIGHUP/POST-reload and graceful shutdown; cmd/loadgen
 // replays power-law synthetic traffic against it. The /suggest hot path is
 // allocation-free end to end and CI gates it (make bench-json; cmd/benchjson
-// enforces allocation and blob-size regression ceilings recorded in
-// BENCH_serving.json).
+// enforces allocation, blob-size and time-ratio regression ceilings
+// recorded in BENCH_serving.json).
 //
 // Entry points: internal/core for the end-to-end recommender API,
 // cmd/experiments for the full evaluation harness, and bench_test.go for

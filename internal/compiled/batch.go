@@ -1,9 +1,7 @@
 package compiled
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/model"
 	"repro/internal/query"
@@ -85,21 +83,11 @@ func (c *Model) PredictBatch(ctxs []query.Seq, ns []int, emit func(i int, preds 
 	s.sorter.ctxs = ctxs
 	sort.Sort(&s.sorter)
 
-	c.walkSpan(s, ctxs, ns, s.sorter.order, emit)
-	s.sorter.ctxs = nil // do not retain caller slices in the pool
-}
-
-// walkSpan scores one contiguous span of a descent-ordered batch: each
-// context redescends from the previous one's shared prefix, identical
-// adjacent (context, n) pairs re-emit the previous answer. Shared by the
-// sequential PredictBatch (the whole order) and each PredictBatchParallel
-// worker (its chunk), so the two paths are one code path and bit-identical
-// by construction.
-func (c *Model) walkSpan(s *scratch, ctxs []query.Seq, ns []int, order []int32, emit func(i int, preds []model.Prediction)) {
+	// Each context redescends from the previous one's shared prefix.
 	var prev query.Seq
 	prevN := -1
 	s.path = s.path[:0]
-	for _, oi := range order {
+	for _, oi := range s.sorter.order {
 		i := int(oi)
 		ctx := ctxs[i]
 		if len(ctx) == 0 || ns[i] <= 0 {
@@ -128,63 +116,6 @@ func (c *Model) walkSpan(s *scratch, ctxs []query.Seq, ns []int, order []int32, 
 		}
 		emit(i, s.bpreds)
 	}
-}
-
-// parallelBatchMin is the batch size below which PredictBatchParallel takes
-// the sequential path: goroutine fan-out costs more than it saves on a
-// handful of descents.
-const parallelBatchMin = 16
-
-// PredictBatchParallel is PredictBatch with the descent-ordered batch split
-// across workers goroutines (workers <= 0 means GOMAXPROCS), each walking a
-// contiguous chunk of the sorted order with its own pooled scratch. Because
-// every prediction depends only on its (context, n) pair, the answers are
-// bit-identical to the sequential path — the parity test enforces it — and
-// chunk boundaries only forgo some prefix sharing.
-//
-// Unlike PredictBatch, emit may be invoked concurrently from different
-// workers (still exactly once per index, with distinct i); preds remains
-// valid only for the duration of the call. Batches smaller than the fan-out
-// is worth (or workers == 1) fall back to the sequential path, so callers
-// can use this form unconditionally.
-func (c *Model) PredictBatchParallel(ctxs []query.Seq, ns []int, workers int, emit func(i int, preds []model.Prediction)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(ctxs) < parallelBatchMin || len(ctxs) < 2*workers {
-		c.PredictBatch(ctxs, ns, emit)
-		return
-	}
-	if len(ns) != len(ctxs) {
-		panic("compiled: PredictBatchParallel ns and ctxs lengths differ")
-	}
-	s := c.scratch.p.Get().(*scratch)
-	defer c.scratch.p.Put(s)
-
-	s.sorter.order = s.sorter.order[:0]
-	for i := range ctxs {
-		s.sorter.order = append(s.sorter.order, int32(i))
-	}
-	s.sorter.ctxs = ctxs
-	sort.Sort(&s.sorter)
-
-	order := s.sorter.order
-	chunk := (len(order) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(order); lo += chunk {
-		hi := lo + chunk
-		if hi > len(order) {
-			hi = len(order)
-		}
-		wg.Add(1)
-		go func(span []int32) {
-			defer wg.Done()
-			ws := c.scratch.p.Get().(*scratch)
-			defer c.scratch.p.Put(ws)
-			c.walkSpan(ws, ctxs, ns, span, emit)
-		}(order[lo:hi])
-	}
-	wg.Wait()
 	s.sorter.ctxs = nil // do not retain caller slices in the pool
 }
 

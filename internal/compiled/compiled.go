@@ -31,42 +31,26 @@
 // scoring sums are re-associated) and rank-identical on non-degenerate ties;
 // the parity property test in this package enforces both.
 //
-// The compiled form has three persistent encodings, all little-endian:
+// The compiled form has one persistent encoding, CPS5 (AppendFlat5 /
+// FromBytes, see flat5.go): follower probabilities as fixed-point uint16
+// against a per-node float32 step, follower-ID lists and CSR offsets as
+// varint delta streams, node arrays narrowed to their needed width. FromBytes
+// verifies the blob's CRC, validates its structure and decodes it once into
+// the same arrays Compile fills — the dequantised probabilities
+// float64(step)·float64(q) and the widened counts — so a loaded model serves
+// through exactly the code path of a compiled one, within the quantisation
+// bound (≤ qstep/2 per node, ≤ ~2e-5 absolute) of it.
 //
-//   - CPS1 (WriteTo/Read): a varint stream, compact but decoded node by
-//     node into heap slices.
-//   - CPS3 (AppendFlat/FromBytes/OpenMmap): exact fixed-width arrays at
-//     8-byte-aligned offsets — mmap-able, aliased zero-copy on
-//     little-endian platforms, decoded portably (no unsafe) elsewhere.
-//   - CPS4 (AppendFlat4/FromBytes/OpenMmap): the quantised flat layout —
-//     follower probabilities as fixed-point uint16 against per-node
-//     float32 steps, ranked views as uint16 indices, node arrays narrowed
-//     to their needed width. Roughly half the CPS3 size at a bounded
-//     (≤ qstep/2 per node, ≤ ~2e-5 absolute) probability error. Models
-//     loaded from CPS4 report Quantised() == true and cannot be
-//     re-encoded to the exact forms (raw counts are not stored).
-//   - CPS5 (AppendFlat5/FromBytes/OpenMmap): the compact-edge tier below
-//     CPS4 — follower-ID lists delta-encoded and varint-packed per node,
-//     CSR offsets as varint count streams, child keys as first+deltas,
-//     plus an opt-in uint8 probability grade (refused via ErrUnquantisable
-//     when it would perturb ranked order beyond the CPS4 error bound).
-//     The packed follower-ID region is decoded per matched node at serve
-//     time into pooled scratch, so prediction stays allocation-free.
-//
-// Serving invariants, whatever the source encoding: prediction is
-// allocation-free at steady state (pooled scratch, bounded top-N heap),
-// models are immutable and safe for unbounded concurrent readers, and a
-// corrupted flat blob loaded without its CRC check (the zero-copy path,
-// which must not fault every page in) can misrank but can never panic or
-// index out of bounds.
+// Serving invariants: prediction is allocation-free at steady state (pooled
+// scratch, bounded top-N heap), models are immutable and safe for unbounded
+// concurrent readers, and a blob that passes FromBytes can be served without
+// any index escaping its arrays.
 package compiled
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/markov"
 	"repro/internal/query"
@@ -77,7 +61,7 @@ import (
 const maxComponents = 64
 
 // Model is the compiled single-PST form of an MVMM. It is immutable after
-// Compile/Read and safe for any number of concurrent predictors.
+// Compile or FromBytes and safe for any number of concurrent predictors.
 type Model struct {
 	k     int // mixture components
 	vocab int // |Q| for the stage-(c) smoothing
@@ -95,65 +79,25 @@ type Model struct {
 	childStart []int32
 	childKey   []uint32
 
-	// Per-node payload, indexed by node ID. Exactly one representation is
-	// populated per array: the wide float64/uint64 slices for models built by
-	// Compile or loaded from CPS1/CPS3, or the narrow slices for models
-	// loaded from the quantised CPS4 layout (evidence16 when the component
-	// count fits 16 bits, occ32/startOcc32/floor32 always). The accessor
-	// methods (evidenceAt, occAt, startOccAt, floorAt) pick the live one.
-	evidence   []uint64  // bit i set ⇔ component i stores this state with followers
-	evidence16 []uint16  // CPS4 narrow form of evidence (k <= 16)
-	occ        []uint64  // Eq. (6) window occurrences |[·,s]| of the node's suffix
-	occ32      []uint32  // CPS4 narrow form of occ
-	startOcc   []uint64  // session-start occurrences |[e,s]|
-	startOcc32 []uint32  // CPS4 narrow form of startOcc
-	floor      []float64 // smoothed probability of an unobserved follower
-	floor32    []float32 // CPS4 narrow form of floor
+	// Per-node payload, indexed by node ID.
+	evidence []uint64  // bit i set ⇔ component i stores this state with followers
+	occ      []uint64  // Eq. (6) window occurrences |[·,s]| of the node's suffix
+	startOcc []uint64  // session-start occurrences |[e,s]|
+	floor    []float64 // smoothed probability of an unobserved follower
 
 	// Followers, one CSR range per node. Ranked order is the frozen TopN
-	// ranking (count descending, ID ascending); sorted order is ID-ascending
-	// for binary-search probability lookups. folCount holds the raw counts in
-	// sorted order for serialisation and introspection.
-	//
-	// Exact models carry folIDRanked/folPRanked/folPSorted/folCount in
-	// float64/uint64. Quantised (CPS4-loaded) models instead carry folQSorted
-	// (fixed-point uint16 probabilities dequantised via the per-node qstep)
-	// and folRankIdx (the ranked view as uint16 indices into the node's
-	// ID-sorted range); raw counts are not preserved, so quantised models
-	// cannot be re-encoded to the exact CPS1/CPS3 layouts.
+	// ranking (count descending, ID ascending) used for candidate pooling;
+	// sorted order is ID-ascending with the smoothed probabilities, for
+	// binary-search probability lookups.
 	folStart    []int32
 	folIDRanked []uint32
-	folPRanked  []float64
 	folIDSorted []uint32
 	folPSorted  []float64
-	folCount    []uint64
-	folQSorted  []uint16
-	folRankIdx  []uint16
-	qstep       []float32 // per-node dequantisation step: p = qstep[v] * q
-
-	// CPS5-loaded models keep follower IDs varint-packed (folIDVar non-nil
-	// is the discriminator): folOff[v]..folOff[v+1] bounds node v's packed
-	// group, decoded into pooled scratch per matched node at serve time.
-	// folQ8 is the opt-in uint8 probability tier (nil ⇒ folQSorted's uint16
-	// tier); folIDSorted stays nil.
-	folIDVar []byte
-	folOff   []int32
-	folQ8    []uint8
 
 	nodes     int  // node count including the root (len of the per-node arrays)
-	quantised bool // true ⇔ loaded from CPS4/CPS5 (narrow arrays populated)
+	quantised bool // true ⇔ decoded from a CPS5 blob (dequantised probabilities)
 
 	scratch scratchPool
-
-	// Mmap backing (models returned by OpenMmap only): the full mapping the
-	// arrays alias, unmapped by Release or by the GC cleanup once the model
-	// becomes unreachable. mapAdvice records the kernel paging hints applied
-	// to the mapping (OpenMmapAdvised), "" when none were requested.
-	release     []byte
-	cleanup     runtime.Cleanup
-	releaseOnce sync.Once
-	releaseErr  error
-	mapAdvice   string
 }
 
 // Compile flattens a trained mixture into its serving form. It fails — and
@@ -438,8 +382,7 @@ func symbol(key string) uint32 {
 // appendFollowers installs node v's follower arrays from its ID-ascending
 // (ids, counts) pairs, reproducing Dist.SmoothedP's arithmetic exactly:
 // z = 1 + u/|Q| with u unobserved queries, observed probability c/total/z,
-// unobserved floor (1/|Q|)/z. Nodes must be appended in ID order; Read uses
-// the same path so compiled and reloaded models are bit-identical.
+// unobserved floor (1/|Q|)/z. Nodes must be appended in ID order.
 func (c *Model) appendFollowers(v int, ids []uint32, counts []uint64) {
 	if v != len(c.folStart) {
 		panic("compiled: followers appended out of node order")
@@ -460,9 +403,7 @@ func (c *Model) appendFollowers(v int, ids []uint32, counts []uint64) {
 	z := 1 + float64(u)/float64(c.vocab)
 	c.floor[v] = 1 / float64(c.vocab) / z
 
-	base := len(c.folIDSorted)
 	c.folIDSorted = append(c.folIDSorted, ids...)
-	c.folCount = append(c.folCount, counts...)
 	for _, cnt := range counts {
 		c.folPSorted = append(c.folPSorted, float64(cnt)/float64(total)/z)
 	}
@@ -479,7 +420,6 @@ func (c *Model) appendFollowers(v int, ids []uint32, counts []uint64) {
 	})
 	for _, j := range perm {
 		c.folIDRanked = append(c.folIDRanked, ids[j])
-		c.folPRanked = append(c.folPRanked, c.folPSorted[base+j])
 	}
 }
 
@@ -507,45 +447,7 @@ func (c *Model) Nodes() int { return c.nodes - 1 }
 // Followers reports the total follower entries across all nodes.
 func (c *Model) Followers() int { return int(c.folStart[len(c.folStart)-1]) }
 
-// Exact reports whether the model carries the full float64 probabilities and
-// raw counts (models built by Compile or loaded from CPS1/CPS3). Only exact
-// models can be serialised to the CPS1 and CPS3 layouts; quantised models
-// must be re-encoded with AppendFlat4 or recompiled from the mixture.
-func (c *Model) Exact() bool { return !c.Quantised() }
-
-// Quantised reports whether follower probabilities are served from the
-// fixed-point CPS4 representation (bounded-error dequantisation) rather than
-// the exact float64 arrays.
+// Quantised reports whether the model was decoded from a CPS5 blob, i.e.
+// serves fixed-point probabilities dequantised at load (bounded error)
+// rather than the exact float64 values Compile computes.
 func (c *Model) Quantised() bool { return c.quantised }
-
-// Per-node accessors bridging the exact (wide) and quantised (narrow) array
-// representations; the nil check resolves to the populated one. The branch
-// predicts perfectly — a model is one or the other for its whole lifetime.
-
-func (c *Model) evidenceAt(v int32) uint64 {
-	if c.evidence != nil {
-		return c.evidence[v]
-	}
-	return uint64(c.evidence16[v])
-}
-
-func (c *Model) occAt(v int32) uint64 {
-	if c.occ != nil {
-		return c.occ[v]
-	}
-	return uint64(c.occ32[v])
-}
-
-func (c *Model) startOccAt(v int32) uint64 {
-	if c.startOcc != nil {
-		return c.startOcc[v]
-	}
-	return uint64(c.startOcc32[v])
-}
-
-func (c *Model) floorAt(v int32) float64 {
-	if c.floor != nil {
-		return c.floor[v]
-	}
-	return float64(c.floor32[v])
-}

@@ -2,349 +2,125 @@ package compiled
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
-	"repro/internal/markov"
 	"repro/internal/model"
 	"repro/internal/query"
+	"repro/internal/store"
 )
-
-// mustCompact round-trips a model through the CPS5 encoding in the given
-// view mode, checking the size accounting on the way.
-func mustCompact(t testing.TB, c *Model, probs8 bool, mode ViewMode) *Model {
-	t.Helper()
-	blob, err := c.AppendFlat5(nil, probs8)
-	if err != nil {
-		t.Fatalf("AppendFlat5(probs8=%v): %v", probs8, err)
-	}
-	if int64(len(blob)) != c.Flat5Size(probs8) {
-		t.Fatalf("Flat5Size(probs8=%v) = %d, blob is %d bytes", probs8, c.Flat5Size(probs8), len(blob))
-	}
-	m, err := FromBytes(blob, mode)
-	if err != nil {
-		t.Fatalf("FromBytes(CPS5): %v", err)
-	}
-	if !m.Quantised() || m.Exact() {
-		t.Fatal("CPS5 load did not produce a quantised model")
-	}
-	return m
-}
-
-// TestFlat5BitIdenticalToCPS4: the uint16 tier reuses CPS4's per-node
-// quantisation grid exactly, so a CPS5 load must serve bit-identically to a
-// CPS4 load of the same exact model — the strongest form of the parity
-// acceptance (rank inversions and score error inherited unchanged).
-func TestFlat5BitIdenticalToCPS4(t *testing.T) {
-	for seed := int64(501); seed <= 504; seed++ {
-		c, sessions, vocab, rng := flatTestModel(t, seed)
-		ctxs := parityContexts(rng, sessions, vocab)
-		q4 := mustQuantise(t, c, ViewCopy)
-		for _, mode := range []ViewMode{ViewAuto, ViewCopy} {
-			q5 := mustCompact(t, c, false, mode)
-			assertBitIdentical(t, "cps5-vs-cps4", q4, q5, ctxs, vocab, rng)
-		}
-	}
-}
 
 // TestFlat5ParityVsExact pins the end-to-end error contract against the
 // float64 model: probabilities within quantTol, rank inversions only at
-// near-ties — the same bound CPS4 promises.
+// near-ties.
 func TestFlat5ParityVsExact(t *testing.T) {
 	for seed := int64(511); seed <= 513; seed++ {
 		c, sessions, vocab, rng := flatTestModel(t, seed)
 		ctxs := parityContexts(rng, sessions, vocab)
-		assertQuantParity(t, c, mustCompact(t, c, false, ViewAuto), ctxs, vocab, rng)
+		assertQuantParity(t, c, mustCompact(t, c), ctxs, vocab, rng)
 	}
 }
 
-// TestFlat5FromCPS4 re-encodes a CPS4-loaded model (exact probabilities
-// gone, fixed-point tables only) as CPS5: the stored values are re-emitted
-// verbatim, so serving stays bit-identical.
-func TestFlat5FromCPS4(t *testing.T) {
-	c, sessions, vocab, rng := flatTestModel(t, 521)
-	q4 := mustQuantise(t, c, ViewCopy)
-	q5 := mustCompact(t, q4, false, ViewCopy)
-	assertBitIdentical(t, "cps4-reencoded", q4, q5, parityContexts(rng, sessions, vocab), vocab, rng)
-}
-
-// TestFlat5RoundTripStable: view and copy loads behave identically, and a
-// CPS5-loaded model re-encodes to the byte-identical blob (nothing drifts
-// across save/load generations).
+// TestFlat5RoundTripStable: a decoded model re-encodes to the byte-identical
+// blob, and the model decoded from that re-encoding serves bit-identically
+// to the first — nothing drifts across save/load generations.
 func TestFlat5RoundTripStable(t *testing.T) {
 	c, sessions, vocab, rng := flatTestModel(t, 531)
-	blob, err := c.AppendFlat5(nil, false)
+	blob, err := c.AppendFlat5(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viewed, err := FromBytes(blob, ViewAuto)
+	first, err := FromBytes(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copied, err := FromBytes(blob, ViewCopy)
+	again, err := first.AppendFlat5(nil)
+	if err != nil {
+		t.Fatalf("re-encode: %v", err)
+	}
+	if !bytes.Equal(blob, again) {
+		t.Fatalf("CPS5 re-encode is not byte-identical (%d vs %d bytes)", len(blob), len(again))
+	}
+	second, err := FromBytes(again)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxs := parityContexts(rng, sessions, vocab)
-	assertBitIdentical(t, "view-vs-copy", copied, viewed, ctxs, vocab, rng)
-
-	for label, m := range map[string]*Model{"viewed": viewed, "copied": copied} {
-		again, err := m.AppendFlat5(nil, false)
-		if err != nil {
-			t.Fatalf("%s: re-encode: %v", label, err)
-		}
-		if !bytes.Equal(blob, again) {
-			t.Fatalf("%s: CPS5 re-encode is not byte-identical (%d vs %d bytes)", label, len(blob), len(again))
-		}
-	}
-
-	// WriteFlat5 must emit the same bytes as AppendFlat5.
-	var buf bytes.Buffer
-	n, err := c.WriteFlat5(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(blob)) || !bytes.Equal(buf.Bytes(), blob) {
-		t.Fatalf("WriteFlat5 wrote %d bytes, AppendFlat5 %d; equal=%v", n, len(blob), bytes.Equal(buf.Bytes(), blob))
-	}
+	assertBitIdentical(t, "generation 2", first, second, parityContexts(rng, sessions, vocab), vocab, rng)
 }
 
-// TestFlat5SizeReduction: delta+varint edges must undercut CPS4's fixed-
-// width arrays on every seeded corpus (the 0.8 production ratio is gated in
-// BENCH_serving.json on the benchmark model).
+// TestFlat5SizeReduction: delta+varint edges must undercut the same blob
+// with fixed-width uint32 follower IDs, child keys and CSR offsets on every
+// seeded corpus.
 func TestFlat5SizeReduction(t *testing.T) {
 	for _, seed := range []int64{541, 547, 557} {
 		c, _, _, _ := flatTestModel(t, seed)
-		cps4, cps5 := c.Flat4Size(), c.Flat5Size(false)
-		if cps5 >= cps4 {
-			t.Fatalf("seed %d: CPS5 %d bytes >= CPS4 %d bytes", seed, cps5, cps4)
+		blob, err := c.AppendFlat5(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Logf("seed %d: cps5/cps4 = %.3f (%d / %d bytes)", seed, float64(cps5)/float64(cps4), cps5, cps4)
+		varint := 0
+		for i := f5ChildCntV; i <= f5FolIDV; i++ {
+			varint += int(binary.LittleEndian.Uint64(blob[flatHeaderSize+16*i+8:]))
+		}
+		fixed := len(blob) - varint + 4*(len(c.folIDSorted)+len(c.childKey)+len(c.childStart)+len(c.folStart))
+		if len(blob) >= fixed {
+			t.Fatalf("seed %d: CPS5 %d bytes >= fixed-width %d bytes", seed, len(blob), fixed)
+		}
+		t.Logf("seed %d: cps5/fixed-width = %.3f (%d / %d bytes)", seed, float64(len(blob))/float64(fixed), len(blob), fixed)
 	}
 }
 
-// TestFlat5Probs8Parity: when the coarse uint8 tier is accepted, ranking
-// must agree with the uint16 tier except at CPS4-grid near-ties (the
-// encoder refuses anything coarser), and probabilities must stay within the
-// uint8 half-step bound.
-func TestFlat5Probs8Parity(t *testing.T) {
-	// Zipf corpora almost always refuse the coarse tier (their tails
-	// collapse), so the acceptance path runs on a crafted corpus whose
-	// follower probabilities are spaced far wider than a uint8 level.
-	c, ctxs := probs8TestModel(t)
-	blob, err := c.AppendFlat5(nil, true)
-	if err != nil {
-		t.Fatalf("uint8 tier refused a well-separated distribution: %v", err)
-	}
-	q8, err := FromBytes(blob, ViewAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q4 := mustQuantise(t, c, ViewCopy)
-	// The uint8 grid step is maxP/255, so scores can be off by up to half
-	// of that (~2e-3 for maxP near 1) plus mixture smoothing slack.
-	const tol8 = 3e-3
-	for _, ctx := range ctxs {
-		want := q4.Predict(ctx, 5)
-		got := q8.Predict(ctx, 5)
-		if len(want) != len(got) {
-			t.Fatalf("ctx %v: u16 %d predictions, u8 %d", ctx, len(want), len(got))
-		}
-		for i := range want {
-			if got[i].Query != want[i].Query {
-				pw, pg := q4.Prob(ctx, want[i].Query), q4.Prob(ctx, got[i].Query)
-				if diff := pw - pg; diff > 2*quantTol {
-					t.Fatalf("ctx %v rank %d: u8 swapped %d over %d, u16 scores %g apart (not a near-tie)",
-						ctx, i, got[i].Query, want[i].Query, diff)
-				}
-			}
-			if diff := got[i].Score - want[i].Score; diff > tol8 || diff < -tol8 {
-				t.Fatalf("ctx %v rank %d: u8 score off by %g", ctx, i, diff)
-			}
-		}
-	}
-	// A uint8-loaded model re-encodes its own tier verbatim.
-	again, err := q8.AppendFlat5(nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(blob, again) {
-		t.Fatal("uint8 re-encode not byte-identical")
-	}
-	// The coarse blob must undercut the uint16 one.
-	if s8, s16 := c.Flat5Size(true), c.Flat5Size(false); s8 >= s16 {
-		t.Fatalf("uint8 blob %d bytes >= uint16 blob %d bytes", s8, s16)
-	}
-}
-
-// probs8TestModel builds a model whose follower probabilities are spaced
-// far wider than a uint8 quantisation level, so the coarse tier is
-// accepted, along with evaluation contexts covering its paths.
-func probs8TestModel(t testing.TB) (*Model, []query.Seq) {
-	t.Helper()
-	sessions := []query.Session{
-		{Queries: query.Seq{0, 1}, Count: 100},
-		{Queries: query.Seq{0, 2}, Count: 60},
-		{Queries: query.Seq{0, 3}, Count: 25},
-		{Queries: query.Seq{1, 2}, Count: 80},
-		{Queries: query.Seq{1, 4}, Count: 40},
-		{Queries: query.Seq{2, 3, 4}, Count: 50},
-		{Queries: query.Seq{3, 5}, Count: 30},
-		{Queries: query.Seq{4, 5, 1}, Count: 20},
-	}
-	query.SortSessions(sessions)
-	m := markov.NewMVMMFromEpsilons(sessions, []float64{0.0, 0.05}, 6,
-		markov.MVMMOptions{TrainSample: 50, NewtonIters: 3})
-	c, err := Compile(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ctxs []query.Seq
-	for _, s := range sessions {
-		for l := 1; l <= len(s.Queries); l++ {
-			ctxs = append(ctxs, s.Queries[:l])
-		}
-	}
-	ctxs = append(ctxs, query.Seq{5, 0}, nil)
-	return c, ctxs
-}
-
-// TestFlat5Probs8Refusal: a distribution with many ranked followers spaced
-// wider than the CPS4 grid but narrower than a uint8 level must be refused
-// — collapsing them would reorder ranks beyond the promised bound.
+// TestFlat5Probs8Refusal: the retired uint8 probability tier is refused as
+// corrupt — a blob declaring one-byte probabilities no longer decodes.
 func TestFlat5Probs8Refusal(t *testing.T) {
-	// One dominant follower fixes maxP; hundreds of near-equal tails spaced
-	// ~1e-5 apart (> maxP/65535, < maxP/255) force level collisions.
-	vocab := 260
-	var sessions []query.Session
-	sessions = append(sessions, query.Session{Queries: query.Seq{0, 1}, Count: 50000})
-	for j := 2; j < 250; j++ {
-		sessions = append(sessions, query.Session{
-			Queries: query.Seq{0, query.ID(j)},
-			Count:   uint64(5000 - 4*j),
-		})
-	}
-	query.SortSessions(sessions)
-	m := markov.NewMVMMFromEpsilons(sessions, []float64{0.0}, vocab,
-		markov.MVMMOptions{TrainSample: 100, NewtonIters: 3})
-	c, err := Compile(m)
+	c, _, _, _ := flatTestModel(t, 561)
+	blob, err := c.AppendFlat5(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AppendFlat5(nil, true); !errors.Is(err, ErrUnquantisable) {
-		t.Fatalf("uint8 tier on a rank-collapsing distribution: err = %v, want ErrUnquantisable", err)
-	}
-	// The uint16 tier carries the same distribution without complaint.
-	if _, err := c.AppendFlat5(nil, false); err != nil {
-		t.Fatalf("uint16 tier refused the same model: %v", err)
+	blob[54] = 1
+	restampCRC(blob)
+	if _, err := FromBytes(blob); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("uint8-tier blob: err = %v, want store.ErrCorrupt", err)
 	}
 }
 
-// TestAppendFlat4RefusesCPS5: a CPS5-loaded model keeps no ID-sorted
-// follower array, so the CPS4 encoder must refuse it loudly (re-encode with
-// AppendFlat5 instead).
-func TestAppendFlat4RefusesCPS5(t *testing.T) {
-	c, _, _, _ := flatTestModel(t, 571)
-	q5 := mustCompact(t, c, false, ViewCopy)
-	if _, err := q5.AppendFlat4(nil); !errors.Is(err, ErrUnquantisable) {
-		t.Fatalf("AppendFlat4 on a CPS5-loaded model: err = %v, want ErrUnquantisable", err)
-	}
-}
-
-// TestFlat5BatchParity: batched descent over a CPS5 model — sequential and
-// parallel at several worker counts — must match per-context Predict calls
-// bit for bit, with exactly one emit per index.
+// TestFlat5BatchParity: batched descent over a decoded model must match
+// per-context Predict calls bit for bit, with exactly one emit per index.
 func TestFlat5BatchParity(t *testing.T) {
 	c, sessions, vocab, rng := flatTestModel(t, 577)
-	q5 := mustCompact(t, c, false, ViewAuto)
-	ctxs := parityContexts(rng, sessions, vocab)
-	assertBatchParity(t, q5, ctxs, rng)
-
-	ns := make([]int, len(ctxs))
-	for i := range ns {
-		ns[i] = 1 + rng.Intn(8)
-	}
-	want := make([][]model.Prediction, len(ctxs))
-	for i := range ctxs {
-		want[i] = q5.Predict(ctxs[i], ns[i])
-	}
-	for _, workers := range []int{0, 2, 3, 8} {
-		emitted := make([]int, len(ctxs))
-		var mu chan struct{} = make(chan struct{}, 1)
-		mu <- struct{}{}
-		q5.PredictBatchParallel(ctxs, ns, workers, func(i int, preds []model.Prediction) {
-			<-mu
-			emitted[i]++
-			if len(preds) != len(want[i]) {
-				t.Errorf("workers=%d ctx %d: %d predictions, want %d", workers, i, len(preds), len(want[i]))
-			} else {
-				for j := range preds {
-					if preds[j] != want[i][j] {
-						t.Errorf("workers=%d ctx %d rank %d: %v, want %v", workers, i, j, preds[j], want[i][j])
-						break
-					}
-				}
-			}
-			mu <- struct{}{}
-		})
-		for i, n := range emitted {
-			if n != 1 {
-				t.Fatalf("workers=%d: ctx %d emitted %d times", workers, i, n)
-			}
-		}
-	}
+	assertBatchParity(t, mustCompact(t, c), parityContexts(rng, sessions, vocab), rng)
 }
 
-// TestFlat5RejectsCorruption mirrors the CPS3/CPS4 robustness tables:
-// truncations fail in both view modes, every byte flip fails the ViewCopy
-// CRC, and flips that survive ViewAuto's structural validation must never
-// panic when the model is exercised.
+// TestFlat5RejectsCorruption: truncations fail, and random byte flips fail —
+// the CRC covers the payload and the decoder validates the header fields.
 func TestFlat5RejectsCorruption(t *testing.T) {
-	c, sessions, vocab, rng := flatTestModel(t, 587)
-	good, err := c.AppendFlat5(nil, false)
+	c, _, _, rng := flatTestModel(t, 587)
+	good, err := c.AppendFlat5(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	for _, n := range []int{0, 3, flatHeaderSize - 1, compactArraysStart - 1, len(good) / 3, len(good) - 1} {
-		for _, mode := range []ViewMode{ViewAuto, ViewCopy} {
-			if _, err := FromBytes(good[:n], mode); err == nil {
-				t.Fatalf("truncation to %d bytes (mode %d) went undetected", n, mode)
-			}
+		if _, err := FromBytes(good[:n]); err == nil {
+			t.Fatalf("truncation to %d bytes went undetected", n)
 		}
 	}
-
 	for trial := 0; trial < 200; trial++ {
 		bad := append([]byte(nil), good...)
 		bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-		if _, err := FromBytes(bad, ViewCopy); err == nil {
-			t.Fatalf("trial %d: corrupted blob passed ViewCopy", trial)
-		}
-	}
-
-	ctxs := parityContexts(rng, sessions, vocab)
-	for trial := 0; trial < 200; trial++ {
-		bad := append([]byte(nil), good...)
-		bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-		m, err := FromBytes(bad, ViewAuto)
-		if err != nil {
-			continue
-		}
-		for _, ctx := range ctxs[:10] {
-			m.Predict(ctx, 5)
-			if len(ctx) > 0 {
-				m.Prob(ctx, ctx[len(ctx)-1])
-			}
+		if _, err := FromBytes(bad); err == nil {
+			t.Fatalf("trial %d: corrupted blob decoded", trial)
 		}
 	}
 }
 
-// FuzzFlat5Decode: arbitrary bytes through the CPS5 decoder must error or
-// serve, never panic — in both view modes (the varint regions are the new
-// attack surface; truncated or over-long encodings must be caught).
+// FuzzFlat5Decode: arbitrary bytes, with their CRC re-stamped so they reach
+// structural validation, must error or serve — never panic — and a model
+// that decodes must re-encode to a blob that decodes again.
 func FuzzFlat5Decode(f *testing.F) {
 	c, _, _, _ := flatTestModel(f, 593)
-	good, err := c.AppendFlat5(nil, false)
+	good, err := c.AppendFlat5(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -352,31 +128,33 @@ func FuzzFlat5Decode(f *testing.F) {
 	f.Add(good[:len(good)/2])
 	f.Add(good[:compactArraysStart+7])
 	f.Add([]byte("CPS5 but nonsense"))
-	good8, err8 := c.AppendFlat5(nil, true)
-	if err8 == nil {
-		f.Add(good8)
-	}
+	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, mode := range []ViewMode{ViewAuto, ViewCopy} {
-			m, err := FromBytes(data, mode)
-			if err != nil {
-				continue
+		data = append([]byte(nil), data...)
+		restampCRC(data)
+		m, err := FromBytes(data)
+		if err != nil {
+			return
+		}
+		m.Predict(query.Seq{1, 2}, 5)
+		m.Prob(query.Seq{2}, 1)
+		m.PredictBatch([]query.Seq{{1}, {2, 1}, {1}}, []int{3, 5, 3}, func(int, []model.Prediction) {})
+		if blob, err := m.AppendFlat5(nil); err == nil {
+			if _, err := FromBytes(blob); err != nil {
+				t.Fatalf("re-encoded model does not decode: %v", err)
 			}
-			m.Predict(query.Seq{1, 2}, 5)
-			m.Prob(query.Seq{2}, 1)
 		}
 	})
 }
 
-// TestFlat5ZeroAllocs: steady-state prediction on a CPS5 model must remain
-// allocation-free — the lazy follower-ID decode reuses the pooled scratch
-// arena.
+// TestFlat5ZeroAllocs: steady-state prediction on a decoded model must stay
+// allocation-free.
 func TestFlat5ZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
 	}
 	c, sessions, vocab, rng := flatTestModel(t, 599)
-	q5 := mustCompact(t, c, false, ViewAuto)
+	q5 := mustCompact(t, c)
 	ctxs := parityContexts(rng, sessions, vocab)
 	buf := make([]model.Prediction, 0, 32)
 	for _, ctx := range ctxs {

@@ -1,15 +1,17 @@
 package compiled
 
 import (
-	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/markov"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 func flatTestModel(t testing.TB, seed int64) (*Model, []query.Session, int, *rand.Rand) {
@@ -24,6 +26,14 @@ func flatTestModel(t testing.TB, seed int64) (*Model, []query.Session, int, *ran
 		t.Fatalf("compile: %v", err)
 	}
 	return c, sessions, vocab, rng
+}
+
+// restampCRC rewrites a CPS5 blob's CRC over its payload, so a deliberately
+// corrupted blob reaches the decoder's structural validation.
+func restampCRC(blob []byte) {
+	if len(blob) >= flatHeaderSize {
+		binary.LittleEndian.PutUint32(blob[48:], crc32.ChecksumIEEE(blob[flatHeaderSize:]))
+	}
 }
 
 // assertBitIdentical checks two compiled models agree bit-for-bit on
@@ -52,203 +62,137 @@ func assertBitIdentical(t *testing.T, label string, want, got *Model, ctxs []que
 	}
 }
 
-// TestFlatRoundTrip: the CPS3 encoding must reproduce the model bit-exactly
-// through both the zero-copy view and the portable decode-copy path.
+// TestFlatRoundTrip: decoding a CPS5 blob must restore Compile's arrays —
+// the trie, counts and both follower orders exactly, floors to float32 and
+// every probability within half its node's quantisation step.
 func TestFlatRoundTrip(t *testing.T) {
 	for seed := int64(31); seed <= 33; seed++ {
-		c, sessions, vocab, rng := flatTestModel(t, seed)
-		blob := c.AppendFlat(nil)
-		if int64(len(blob)) != c.FlatSize() {
-			t.Fatalf("FlatSize = %d, blob is %d bytes", c.FlatSize(), len(blob))
+		c, _, _, _ := flatTestModel(t, seed)
+		m := mustCompact(t, c)
+		if m.k != c.k || m.vocab != c.vocab || m.depth != c.depth || m.nodes != c.nodes ||
+			!slices.Equal(m.sigma, c.sigma) || !slices.Equal(m.maxLen, c.maxLen) {
+			t.Fatalf("seed %d: header fields differ", seed)
 		}
-		ctxs := parityContexts(rng, sessions, vocab)
-		viewed, err := FromBytes(blob, ViewAuto)
-		if err != nil {
-			t.Fatalf("seed %d: ViewAuto: %v", seed, err)
+		for name, eq := range map[string]bool{
+			"childStart":  slices.Equal(m.childStart, c.childStart),
+			"childKey":    slices.Equal(m.childKey, c.childKey),
+			"evidence":    slices.Equal(m.evidence, c.evidence),
+			"occ":         slices.Equal(m.occ, c.occ),
+			"startOcc":    slices.Equal(m.startOcc, c.startOcc),
+			"folStart":    slices.Equal(m.folStart, c.folStart),
+			"folIDSorted": slices.Equal(m.folIDSorted, c.folIDSorted),
+			"folIDRanked": slices.Equal(m.folIDRanked, c.folIDRanked),
+		} {
+			if !eq {
+				t.Fatalf("seed %d: decoded %s differs from Compile's", seed, name)
+			}
 		}
-		assertBitIdentical(t, "view", c, viewed, ctxs, vocab, rng)
-		copied, err := FromBytes(blob, ViewCopy)
-		if err != nil {
-			t.Fatalf("seed %d: ViewCopy: %v", seed, err)
+		for v := 0; v < c.nodes; v++ {
+			if m.floor[v] != float64(float32(c.floor[v])) {
+				t.Fatalf("seed %d node %d: floor %v, want float32(%v)", seed, v, m.floor[v], c.floor[v])
+			}
+			lo, hi := c.folStart[v], c.folStart[v+1]
+			if lo == hi {
+				continue
+			}
+			halfStep := slices.Max(c.folPSorted[lo:hi]) / quantSteps / 2 * (1 + 1e-6)
+			for j := lo; j < hi; j++ {
+				if d := math.Abs(m.folPSorted[j] - c.folPSorted[j]); d > halfStep {
+					t.Fatalf("seed %d node %d: probability off by %g (> half step %g)", seed, v, d, halfStep)
+				}
+			}
 		}
-		assertBitIdentical(t, "copy", c, copied, ctxs, vocab, rng)
 	}
 }
 
-// TestFlatWriteFlatMatchesAppendFlat: the two writers must emit identical
-// bytes (core.Save streams through WriteFlat-equivalent framing).
-func TestFlatWriteFlatMatchesAppendFlat(t *testing.T) {
-	c, _, _, _ := flatTestModel(t, 41)
-	var buf bytes.Buffer
-	if _, err := c.WriteFlat(&buf); err != nil {
+// TestFlatRejectsCorruption is the structural-validation table: each case
+// damages one field of a valid blob and re-stamps the CRC, so only the
+// decoder's own checks stand between the damage and serving.
+func TestFlatRejectsCorruption(t *testing.T) {
+	c, _, _, _ := flatTestModel(t, 57)
+	good, err := c.AppendFlat5(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), c.AppendFlat(nil)) {
-		t.Fatal("WriteFlat and AppendFlat diverge")
+	le := binary.LittleEndian
+	region := func(b []byte, i int) []byte { // array i onwards
+		return b[le.Uint64(b[flatHeaderSize+16*i:]):]
+	}
+	lastKeyByte := func(b []byte) *byte { // the child-key region's final byte
+		i := flatHeaderSize + 16*f5ChildKeyV
+		return &b[le.Uint64(b[i:])+le.Uint64(b[i+8:])-1]
+	}
+	cases := map[string]func(b []byte){
+		"version":          func(b []byte) { le.PutUint32(b[4:], 2) },
+		"zero components":  func(b []byte) { le.PutUint32(b[16:], 0) },
+		"too many comps":   func(b []byte) { le.PutUint32(b[16:], maxComponents+1) },
+		"zero vocab":       func(b []byte) { le.PutUint32(b[20:], 0) },
+		"depth":            func(b []byte) { le.PutUint32(b[24:], le.Uint32(b[24:])+1) },
+		"huge depth":       func(b []byte) { le.PutUint32(b[24:], math.MaxUint32) },
+		"node count":       func(b []byte) { le.PutUint32(b[28:], le.Uint32(b[28:])+1) },
+		"edge count":       func(b []byte) { le.PutUint64(b[32:], le.Uint64(b[32:])+1) },
+		"follower count":   func(b []byte) { le.PutUint64(b[40:], le.Uint64(b[40:])+1) },
+		"huge followers":   func(b []byte) { le.PutUint64(b[40:], 1<<40) },
+		"evidence width":   func(b []byte) { b[52] = 4 },
+		"occurrence width": func(b []byte) { b[53] = 2 },
+		"reserved byte":    func(b []byte) { b[60] = 1 },
+		"misaligned array": func(b []byte) {
+			le.PutUint64(b[flatHeaderSize+16*f5Floor:], le.Uint64(b[flatHeaderSize+16*f5Floor:])+4)
+		},
+		"array escapes blob": func(b []byte) { le.PutUint64(b[flatHeaderSize+16*f5FolIDV+8:], uint64(len(b))) },
+		"array count":        func(b []byte) { le.PutUint64(b[flatHeaderSize+16*f5Step+8:], 1) },
+		"sigma not finite":   func(b []byte) { le.PutUint64(region(b, f5Sigma), math.Float64bits(math.Inf(1))) },
+		"window bound":       func(b []byte) { le.PutUint64(region(b, f5MaxLen), 1<<40) },
+		"child count":        func(b []byte) { region(b, f5ChildCntV)[0]++ },
+		"child key order":    func(b []byte) { region(b, f5ChildKeyV)[1] = 0 },
+		"child key varint":   func(b []byte) { *lastKeyByte(b) |= 0x80 },
+		"follower count cut": func(b []byte) { region(b, f5FolCntV)[1]++ },
+		"follower extent":    func(b []byte) { region(b, f5FolLenV)[1]++ },
+		"follower ID order":  func(b []byte) { region(b, f5FolIDV)[1] = 0 },
+		"evidence bits":      func(b []byte) { le.PutUint16(region(b, f5Evidence)[2:], 1<<15) },
+		"rank index":         func(b []byte) { le.PutUint16(region(b, f5FolRank), math.MaxUint16) },
+	}
+	for name, damage := range cases {
+		bad := append([]byte(nil), good...)
+		damage(bad)
+		restampCRC(bad)
+		_, err := FromBytes(bad)
+		if !errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want store.ErrCorrupt", name, err)
+		}
+	}
+	if _, err := FromBytes(good); err != nil {
+		t.Fatalf("the undamaged blob fails: %v", err)
 	}
 }
 
-// TestFlatRejectsCorruption is the format-robustness table test: truncations
-// must fail in both view modes, arbitrary byte flips must fail under
-// ViewCopy (CRC), and structural corruption that survives ViewAuto's lighter
-// validation must never panic when the model is exercised.
-func TestFlatRejectsCorruption(t *testing.T) {
-	c, sessions, vocab, rng := flatTestModel(t, 57)
-	good := c.AppendFlat(nil)
-
-	// Truncation at every region boundary and a few arbitrary points.
-	for _, n := range []int{0, 3, flatHeaderSize - 1, flatArraysStart - 1, len(good) / 3, len(good) - 1} {
-		for _, mode := range []ViewMode{ViewAuto, ViewCopy} {
-			if _, err := FromBytes(good[:n], mode); err == nil {
-				t.Fatalf("truncation to %d bytes (mode %d) went undetected", n, mode)
-			}
-		}
-	}
-
-	// Every random single-byte flip must be caught by the ViewCopy CRC.
-	for trial := 0; trial < 200; trial++ {
-		bad := append([]byte(nil), good...)
-		bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-		if _, err := FromBytes(bad, ViewCopy); err == nil {
-			t.Fatalf("trial %d: corrupted blob passed ViewCopy", trial)
-		}
-	}
-
-	// ViewAuto skips the CRC by design; corrupted-but-structurally-plausible
-	// blobs may load, but exercising them must never panic or index out of
-	// range (the structural validation plus descent-time masking guarantee).
-	ctxs := parityContexts(rng, sessions, vocab)
-	for trial := 0; trial < 200; trial++ {
-		bad := append([]byte(nil), good...)
-		bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-		m, err := FromBytes(bad, ViewAuto)
-		if err != nil {
-			continue
-		}
-		for _, ctx := range ctxs[:10] {
-			m.Predict(ctx, 5)
-			if len(ctx) > 0 {
-				m.Prob(ctx, ctx[len(ctx)-1])
-			}
-		}
-	}
-}
-
-// FuzzFromBytes drives the CPS3 and CPS4 decoders with arbitrary bytes: any
-// input must either decode or error — never panic.
-func FuzzFromBytes(f *testing.F) {
+// fuzzSeeds adds the decoder's seed corpus: valid blobs with narrow and wide
+// array widths, truncations and a nonsense header.
+func fuzzSeeds(f *testing.F) {
 	c, _, _, _ := flatTestModel(f, 71)
-	good := c.AppendFlat(nil)
-	f.Add(good)
-	f.Add(good[:len(good)/2])
-	f.Add([]byte("CPS3 but nonsense"))
-	good4, err := c.AppendFlat4(nil)
+	good, err := c.AppendFlat5(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(good4)
-	f.Add(good4[:len(good4)/2])
-	f.Add([]byte("CPS4 but nonsense"))
+	wide, err := wideTestModel(f).AppendFlat5(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte("CPS5 but nonsense"))
+	f.Add(wide)
+	f.Add(wide[:len(wide)/2])
+	f.Add(wide[:compactArraysStart])
+}
+
+// FuzzFromBytes drives FromBytes with arbitrary bytes: any input must either
+// decode or error — never panic.
+func FuzzFromBytes(f *testing.F) {
+	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, mode := range []ViewMode{ViewAuto, ViewCopy} {
-			m, err := FromBytes(data, mode)
-			if err != nil {
-				continue
-			}
+		if m, err := FromBytes(data); err == nil {
 			m.Predict(query.Seq{1, 2}, 5)
 		}
 	})
-}
-
-// TestOpenMmap maps a blob stored at an arbitrary (page-aligned) offset
-// inside a file, checks bit-identical predictions, and releases the mapping.
-func TestOpenMmap(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("no mmap on this platform")
-	}
-	c, sessions, vocab, rng := flatTestModel(t, 83)
-	blob := c.AppendFlat(nil)
-	path := filepath.Join(t.TempDir(), "model.cps3")
-	const off = 8192
-	file := make([]byte, off, off+len(blob))
-	file = append(file, blob...)
-	if err := os.WriteFile(path, file, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenMmap(path, off, int64(len(blob)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "mmap", c, m, parityContexts(rng, sessions, vocab), vocab, rng)
-	if err := m.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Release(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-
-	// A window that overruns the file must fail cleanly, not SIGBUS later.
-	if _, err := OpenMmap(path, off, int64(len(blob))+4096); err == nil {
-		t.Fatal("oversized mmap window went undetected")
-	}
-}
-
-// TestOpenMmapUnalignedOffset: offsets that are not page-aligned are handled
-// by mapping from the enclosing page boundary.
-func TestOpenMmapUnalignedOffset(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("no mmap on this platform")
-	}
-	c, sessions, vocab, rng := flatTestModel(t, 89)
-	blob := c.AppendFlat(nil)
-	path := filepath.Join(t.TempDir(), "model.cps3")
-	const off = 4096 + 512 // 8-byte aligned, not page-aligned
-	file := make([]byte, off, off+len(blob))
-	file = append(file, blob...)
-	if err := os.WriteFile(path, file, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenMmap(path, off, int64(len(blob)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Release()
-	assertBitIdentical(t, "mmap-unaligned", c, m, parityContexts(rng, sessions, vocab)[:50], vocab, rng)
-}
-
-// TestOpenMmapAdvised: paging hints must apply (or degrade, recorded) while
-// leaving predictions bit-identical, and plain OpenMmap must report no
-// advice.
-func TestOpenMmapAdvised(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("no mmap on this platform")
-	}
-	c, sessions, vocab, rng := flatTestModel(t, 97)
-	blob := c.AppendFlat(nil)
-	path := filepath.Join(t.TempDir(), "model.cps3")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	plain, err := OpenMmap(path, 0, int64(len(blob)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := plain.MapAdvice(); got != "" {
-		t.Fatalf("unadvised mapping reports %q", got)
-	}
-	plain.Release()
-
-	m, err := OpenMmapAdvised(path, 0, int64(len(blob)), MapAdvice{WillNeed: true, Lock: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Release()
-	advice := m.MapAdvice()
-	// Both hints must be accounted for — applied cleanly or recorded with
-	// their error — in request order.
-	if !strings.HasPrefix(advice, "willneed") || !strings.Contains(advice, "mlock") {
-		t.Fatalf("advice = %q, want willneed and mlock accounted for", advice)
-	}
-	assertBitIdentical(t, "mmap-advised", c, m, parityContexts(rng, sessions, vocab)[:50], vocab, rng)
 }

@@ -26,13 +26,6 @@ type scratch struct {
 	scores   []float64 // candidate scores, parallel to cands
 	heap     []int32   // bounded top-N selection heap (candidate indices)
 
-	// CPS5 follower-ID decode arena: the varint-packed follower lists of
-	// the distinct matched nodes, decoded once per prediction. folDecOff is
-	// parallel to distNode (folDecOff[j]..folDecOff[j+1] bounds node j's
-	// IDs in folDec); both stay empty on non-CPS5 models.
-	folDec    []uint32
-	folDecOff []int32
-
 	// Batch state (PredictBatch only).
 	sorter ctxSorter          // descent-order permutation of the batch
 	bpreds []model.Prediction // per-context output buffer, reused across emits
@@ -44,20 +37,18 @@ func (c *Model) initScratch() {
 	k, depth := c.k, c.depth
 	c.scratch.p.New = func() any {
 		return &scratch{
-			path:      make([]int32, 0, depth),
-			matched:   make([]int32, k),
-			w:         make([]float64, k),
-			chain:     make([]float64, k),
-			valIdx:    make([]int32, k),
-			distLen:   make([]int32, 0, k),
-			distNode:  make([]int32, 0, k),
-			vals:      make([]float64, k),
-			cands:     make([]uint32, 0, 256),
-			scores:    make([]float64, 0, 256),
-			heap:      make([]int32, 0, 64),
-			folDec:    make([]uint32, 0, 256),
-			folDecOff: make([]int32, 0, k+1),
-			bpreds:    make([]model.Prediction, 0, 16),
+			path:     make([]int32, 0, depth),
+			matched:  make([]int32, k),
+			w:        make([]float64, k),
+			chain:    make([]float64, k),
+			valIdx:   make([]int32, k),
+			distLen:  make([]int32, 0, k),
+			distNode: make([]int32, 0, k),
+			vals:     make([]float64, k),
+			cands:    make([]uint32, 0, 256),
+			scores:   make([]float64, 0, 256),
+			heap:     make([]int32, 0, 64),
+			bpreds:   make([]model.Prediction, 0, 16),
 		}
 	}
 }
@@ -107,9 +98,7 @@ func (c *Model) match(s *scratch, ctxLen int) bool {
 	var assigned uint64
 	full := ^uint64(0) >> (64 - uint(c.k))
 	for p := len(s.path); p >= 1 && assigned != full; p-- {
-		// Masking with full makes stray evidence bits >= k (possible only in
-		// a corrupted flat file) harmless instead of an index panic.
-		ev := c.evidenceAt(s.path[p-1]) & full
+		ev := c.evidence[s.path[p-1]]
 		fresh := ev &^ assigned
 		for fresh != 0 {
 			i := bits.TrailingZeros64(fresh)
@@ -147,11 +136,11 @@ func (c *Model) escapeFactor(s *scratch, l, ml int) float64 {
 		return 1
 	}
 	v := s.path[sl-1]
-	occ := c.occAt(v)
+	occ := c.occ[v]
 	if occ == 0 {
 		return 1
 	}
-	start := c.startOccAt(v)
+	start := c.startOcc[v]
 	if start == 0 {
 		return 1 / float64(occ+1)
 	}
@@ -201,25 +190,11 @@ func (c *Model) prepareMatched(s *scratch, ctxLen int) bool {
 		}
 		s.valIdx[i] = idx
 	}
-	if c.folIDVar != nil {
-		// CPS5: decode each distinct matched node's varint-packed follower
-		// IDs once into the scratch arena; candidate pooling and every
-		// score lookup for this prediction then read the decoded forms.
-		s.folDec = s.folDec[:0]
-		s.folDecOff = append(s.folDecOff[:0], 0)
-		for _, v := range s.distNode {
-			s.folDec = c.appendFollowerIDs(s.folDec, v)
-			s.folDecOff = append(s.folDecOff, int32(len(s.folDec)))
-		}
-	}
 	return true
 }
 
 // smoothedAt is Dist.SmoothedP on the compiled node: binary search the
 // ID-sorted followers, falling back to the node's precomputed uniform floor.
-// On quantised models the stored fixed-point value is dequantised through
-// the node's step — exact to the CPS4 encoding, within maxP(v)/65535 of the
-// float64 probability it encodes.
 func (c *Model) smoothedAt(v int32, q uint32) float64 {
 	lo, hi := c.folStart[v], c.folStart[v+1]
 	for lo < hi {
@@ -231,51 +206,17 @@ func (c *Model) smoothedAt(v int32, q uint32) float64 {
 		}
 	}
 	if lo < c.folStart[v+1] && c.folIDSorted[lo] == q {
-		if c.folPSorted != nil {
-			return c.folPSorted[lo]
-		}
-		return float64(c.qstep[v]) * float64(c.folQSorted[lo])
+		return c.folPSorted[lo]
 	}
-	return c.floorAt(v)
-}
-
-// smoothedDec is smoothedAt for CPS5 models: the binary search runs over
-// the decoded follower IDs of distinct-node j in the scratch arena, and the
-// fixed-point probability is read at the matching sorted offset (uint8 or
-// uint16 tier) and dequantised through the node's step.
-func (c *Model) smoothedDec(s *scratch, j int, v int32, q uint32) float64 {
-	ids := s.folDec[s.folDecOff[j]:s.folDecOff[j+1]]
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < q {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(ids) && ids[lo] == q {
-		i := c.folStart[v] + int32(lo)
-		if c.folQ8 != nil {
-			return float64(c.qstep[v]) * float64(c.folQ8[i])
-		}
-		return float64(c.qstep[v]) * float64(c.folQSorted[i])
-	}
-	return c.floorAt(v)
+	return c.floor[v]
 }
 
 // score computes the mixture score Σ_D w_D · P̂_D(q|ctx) for one candidate,
 // accumulating per component in index order (the interpreted summation
 // order) while sharing each distinct matched node's probability lookup.
 func (c *Model) score(s *scratch, q uint32) float64 {
-	if c.folIDVar != nil {
-		for j, v := range s.distNode {
-			s.vals[j] = c.smoothedDec(s, j, v, q)
-		}
-	} else {
-		for j, v := range s.distNode {
-			s.vals[j] = c.smoothedAt(v, q)
-		}
+	for j, v := range s.distNode {
+		s.vals[j] = c.smoothedAt(v, q)
 	}
 	var sum float64
 	for i := 0; i < c.k; i++ {
@@ -340,41 +281,15 @@ func (c *Model) appendRanked(s *scratch, dst []model.Prediction, ctxLen, topN in
 
 	// Candidate pool: the top 4·topN ranked followers of every distinct
 	// matched state (the interpreted Predict's TopN(topN*4) union), sorted
-	// and deduplicated in place. Exact models store the ranked IDs directly;
-	// quantised models store the ranked view as indices into the node's
-	// ID-sorted range (clamped defensively — a corrupted CPS4 payload loaded
-	// without a CRC check may misrank but must not index out of bounds).
+	// and deduplicated in place.
 	s.cands = s.cands[:0]
 	lim := int32(4 * topN)
-	for dj, v := range s.distNode {
+	for _, v := range s.distNode {
 		lo, hi := c.folStart[v], c.folStart[v+1]
 		if hi-lo > lim {
 			hi = lo + lim
 		}
-		if c.folIDRanked != nil {
-			s.cands = append(s.cands, c.folIDRanked[lo:hi]...)
-			continue
-		}
-		if c.folIDVar != nil {
-			// CPS5: rank indices are local offsets into the node's decoded
-			// ID list in the scratch arena (clamped like the CPS4 path).
-			ids := s.folDec[s.folDecOff[dj]:s.folDecOff[dj+1]]
-			for j := lo; j < hi; j++ {
-				idx := int(c.folRankIdx[j])
-				if idx >= len(ids) {
-					idx = 0
-				}
-				s.cands = append(s.cands, ids[idx])
-			}
-			continue
-		}
-		for j := lo; j < hi; j++ {
-			idx := c.folStart[v] + int32(c.folRankIdx[j])
-			if idx >= c.folStart[v+1] {
-				idx = lo
-			}
-			s.cands = append(s.cands, c.folIDSorted[idx])
-		}
+		s.cands = append(s.cands, c.folIDRanked[lo:hi]...)
 	}
 	if len(s.cands) == 0 {
 		return dst
@@ -464,7 +379,7 @@ func (c *Model) Covers(ctx query.Seq) bool {
 	defer c.scratch.p.Put(s)
 	c.descend(s, ctx)
 	for _, v := range s.path {
-		if c.evidenceAt(v) != 0 {
+		if c.evidence[v] != 0 {
 			return true
 		}
 	}

@@ -18,29 +18,46 @@ import (
 // it; the ceiling leaves slack for float32 step rounding.
 const quantTol = 2e-5
 
-// mustQuantise round-trips an exact model through the CPS4 encoding in the
-// given view mode.
-func mustQuantise(t testing.TB, c *Model, mode ViewMode) *Model {
+// mustCompact round-trips a compiled model through the CPS5 encoding.
+func mustCompact(t testing.TB, c *Model) *Model {
 	t.Helper()
-	blob, err := c.AppendFlat4(nil)
+	blob, err := c.AppendFlat5(nil)
 	if err != nil {
-		t.Fatalf("AppendFlat4: %v", err)
+		t.Fatalf("AppendFlat5: %v", err)
 	}
-	if int64(len(blob)) != c.Flat4Size() {
-		t.Fatalf("Flat4Size = %d, blob is %d bytes", c.Flat4Size(), len(blob))
-	}
-	q, err := FromBytes(blob, mode)
+	m, err := FromBytes(blob)
 	if err != nil {
-		t.Fatalf("FromBytes(CPS4): %v", err)
+		t.Fatalf("FromBytes: %v", err)
 	}
-	if !q.Quantised() || q.Exact() {
-		t.Fatal("CPS4 load did not produce a quantised model")
+	if !m.Quantised() {
+		t.Fatal("CPS5 load did not produce a quantised model")
 	}
-	return q
+	return m
+}
+
+// wideTestModel compiles a mixture that needs every wide array variant:
+// more than 16 components (uint64 evidence masks) and session counts above
+// 2^32 (uint64 occurrence counts).
+func wideTestModel(t testing.TB) *Model {
+	t.Helper()
+	big := []query.Session{
+		{Queries: query.Seq{1, 2}, Count: 1 << 33},
+		{Queries: query.Seq{1, 3}, Count: 7},
+		{Queries: query.Seq{2, 3, 4}, Count: 1 << 34},
+	}
+	eps := make([]float64, 18)
+	for i := range eps {
+		eps[i] = float64(i) * 0.005
+	}
+	c, err := Compile(markov.NewMVMMFromEpsilons(big, eps, 6, markov.MVMMOptions{NewtonIters: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // assertQuantParity checks the quantised model against the exact one under
-// the CPS4 error contract: probabilities within quantTol, prediction lists
+// the CPS5 error contract: probabilities within quantTol, prediction lists
 // of identical length whose rank disagreements only involve candidates
 // whose exact scores are within 2·quantTol of each other (near-ties), and
 // identical coverage.
@@ -80,9 +97,9 @@ func assertQuantParity(t *testing.T, exact, quant *Model, ctxs []query.Seq, voca
 	}
 }
 
-// TestQuantParityRandomCorpora is the CPS4 correctness property: across
-// seeded random corpora, the quantised model must stay within the bounded
-// error contract of the float64 path — top-10 rank agreement modulo
+// TestQuantParityRandomCorpora is the CPS5 correctness property: across
+// seeded random corpora, the decoded model must stay within the bounded
+// error contract of the Compile model — top-10 rank agreement modulo
 // near-ties, probabilities within quantTol.
 func TestQuantParityRandomCorpora(t *testing.T) {
 	for seed := int64(101); seed <= 104; seed++ {
@@ -95,70 +112,62 @@ func TestQuantParityRandomCorpora(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
-		ctxs := parityContexts(rng, sessions, vocab)
-		for _, mode := range []ViewMode{ViewAuto, ViewCopy} {
-			assertQuantParity(t, c, mustQuantise(t, c, mode), ctxs, vocab, rng)
+		assertQuantParity(t, c, mustCompact(t, c), parityContexts(rng, sessions, vocab), vocab, rng)
+	}
+}
+
+// TestQuantRoundTripStable: re-quantising the dequantised probabilities
+// must reproduce the stored fixed-point codes exactly, so a decoded model
+// re-encodes to the byte-identical blob on every corpus shape, wide arrays
+// included, and nothing drifts across save/load generations.
+func TestQuantRoundTripStable(t *testing.T) {
+	models := []*Model{wideTestModel(t)}
+	for seed := int64(211); seed <= 214; seed++ {
+		c, _, _, _ := flatTestModel(t, seed)
+		models = append(models, c)
+	}
+	for i, c := range models {
+		blob, err := c.AppendFlat5(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := c
+		for gen := 1; gen <= 3; gen++ {
+			if m, err = FromBytes(blob); err != nil {
+				t.Fatalf("model %d generation %d: %v", i, gen, err)
+			}
+			again, err := m.AppendFlat5(nil)
+			if err != nil {
+				t.Fatalf("model %d generation %d: re-encode: %v", i, gen, err)
+			}
+			if !bytes.Equal(blob, again) {
+				t.Fatalf("model %d generation %d: re-encode is not byte-identical", i, gen)
+			}
 		}
 	}
 }
 
-// TestQuantRoundTripStable: view and copy loads of one blob must behave
-// bit-identically, and re-encoding a quantised model must reproduce the
-// blob byte for byte (the dequantisation tables are exact, so nothing
-// drifts across save/load generations).
-func TestQuantRoundTripStable(t *testing.T) {
-	c, sessions, vocab, rng := flatTestModel(t, 211)
-	blob, err := c.AppendFlat4(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viewed, err := FromBytes(blob, ViewAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copied, err := FromBytes(blob, ViewCopy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxs := parityContexts(rng, sessions, vocab)
-	assertBitIdentical(t, "view-vs-copy", viewed, copied, ctxs, vocab, rng)
-	re, err := copied.AppendFlat4(nil)
-	if err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if !bytes.Equal(blob, re) {
-		t.Fatal("CPS4 re-encode of a quantised model is not byte-identical")
-	}
-	var buf bytes.Buffer
-	if _, err := c.WriteFlat4(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), blob) {
-		t.Fatal("WriteFlat4 and AppendFlat4 diverge")
-	}
-}
-
 // TestQuantBatchParity: the batched descent must be bit-identical to single
-// Predict calls on a quantised model too (shared scratch, same arrays).
+// Predict calls on a decoded model too (shared scratch, same arrays).
 func TestQuantBatchParity(t *testing.T) {
 	c, sessions, vocab, rng := flatTestModel(t, 223)
-	q := mustQuantise(t, c, ViewAuto)
-	assertBatchParity(t, q, parityContexts(rng, sessions, vocab), rng)
-	_ = vocab
+	assertBatchParity(t, mustCompact(t, c), parityContexts(rng, sessions, vocab), rng)
 }
 
-// TestQuantSizeReduction: the quantised blob must be dramatically smaller
-// than the exact CPS3 blob — the reason CPS4 exists. The benchmark model's
-// ≥40% gate lives in BENCH_serving.json; the toy corpora here must already
-// clear 35%.
+// TestQuantSizeReduction: the CPS5 blob must be far smaller than the exact
+// arrays it decodes into — the reason it is the stored form.
 func TestQuantSizeReduction(t *testing.T) {
 	for seed := int64(301); seed <= 303; seed++ {
 		c, _, _, _ := flatTestModel(t, seed)
-		cps3 := c.FlatSize()
-		cps4 := c.Flat4Size()
-		if ratio := float64(cps4) / float64(cps3); ratio > 0.65 {
-			t.Fatalf("seed %d: CPS4 %d bytes is %.1f%% of CPS3 %d bytes, want <= 65%%",
-				seed, cps4, 100*ratio, cps3)
+		blob, err := c.AppendFlat5(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := 4*(len(c.childStart)+len(c.childKey)+len(c.folStart)+len(c.folIDRanked)+len(c.folIDSorted)) +
+			8*(len(c.evidence)+len(c.occ)+len(c.startOcc)+len(c.floor)+len(c.folPSorted))
+		if ratio := float64(len(blob)) / float64(exact); ratio > 0.5 {
+			t.Fatalf("seed %d: CPS5 %d bytes is %.1f%% of the %d-byte exact arrays, want <= 50%%",
+				seed, len(blob), 100*ratio, exact)
 		}
 	}
 }
@@ -183,31 +192,19 @@ func TestQuantWideWidths(t *testing.T) {
 	if evW, _ := c.quantWidths(); evW != 8 {
 		t.Fatalf("evidence width %d for %d components, want 8", evW, c.Components())
 	}
-	q := mustQuantise(t, c, ViewCopy)
-	assertQuantParity(t, c, q, parityContexts(rng, sessions, vocab)[:80], vocab, rng)
+	assertQuantParity(t, c, mustCompact(t, c), parityContexts(rng, sessions, vocab)[:80], vocab, rng)
 
-	// Huge session counts force 8-byte occurrence arrays.
-	big := []query.Session{
-		{Queries: query.Seq{1, 2}, Count: 1 << 33},
-		{Queries: query.Seq{1, 3}, Count: 7},
-		{Queries: query.Seq{2, 3, 4}, Count: 1 << 34},
-	}
-	mb := markov.NewMVMMFromEpsilons(big, []float64{0.0, 0.05}, 6, markov.MVMMOptions{NewtonIters: 3})
-	cb, err := Compile(mb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cb := wideTestModel(t)
 	if _, occW := cb.quantWidths(); occW != 8 {
 		t.Fatalf("occurrence width %d for 2^34 counts, want 8", occW)
 	}
-	qb := mustQuantise(t, cb, ViewCopy)
-	assertQuantParity(t, cb, qb, []query.Seq{{1}, {2}, {1, 2}, {3, 2, 1}, {4, 5}}, 6, rng)
+	assertQuantParity(t, cb, mustCompact(t, cb), []query.Seq{{1}, {2}, {1, 2}, {3, 2, 1}, {4, 5}}, 6, rng)
 }
 
-// TestAppendFlat4Unquantisable: a node with more followers than a 16-bit
+// TestAppendFlat5Unquantisable: a node with more followers than a 16-bit
 // rank index can address must fail with ErrUnquantisable and leave dst
-// untouched (len 0 here) — core.saveFlat keys its CPS3 fallback on that.
-func TestAppendFlat4Unquantisable(t *testing.T) {
+// untouched (len 0 here) — core.Save keys its empty compiled section on it.
+func TestAppendFlat5Unquantisable(t *testing.T) {
 	const support = quantSteps + 1
 	c := &Model{
 		k: 1, vocab: support + 10, depth: 1, nodes: 2,
@@ -220,106 +217,77 @@ func TestAppendFlat4Unquantisable(t *testing.T) {
 	c.folIDSorted = make([]uint32, support)
 	c.folIDRanked = make([]uint32, support)
 	c.folPSorted = make([]float64, support)
-	c.folCount = make([]uint64, support)
 	for i := range c.folIDSorted {
 		c.folIDSorted[i] = uint32(i)
 		c.folIDRanked[i] = uint32(i)
 		c.folPSorted[i] = 1.0 / support
-		c.folCount[i] = 1
 	}
-	blob, err := c.AppendFlat4(nil)
+	blob, err := c.AppendFlat5(nil)
 	if !errors.Is(err, ErrUnquantisable) {
 		t.Fatalf("err = %v, want ErrUnquantisable", err)
 	}
 	if len(blob) != 0 {
-		t.Fatalf("failed AppendFlat4 returned %d bytes, want the untouched dst", len(blob))
+		t.Fatalf("failed AppendFlat5 returned %d bytes, want the untouched dst", len(blob))
 	}
 }
 
-// TestQuantRejectsCorruption mirrors the CPS3 robustness table: truncations
-// fail in both view modes, every byte flip fails the ViewCopy CRC, and
-// flips that survive ViewAuto's structural validation must never panic when
-// the model is exercised (defensive clamping in pooling and descent).
+// TestQuantRejectsCorruption: random byte damage behind a re-stamped CRC
+// must either be refused by structural validation or yield a model that
+// serves — single, batched and probability queries — without panicking.
 func TestQuantRejectsCorruption(t *testing.T) {
 	c, sessions, vocab, rng := flatTestModel(t, 409)
-	good, err := c.AppendFlat4(nil)
+	good, err := c.AppendFlat5(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, n := range []int{0, 3, flatHeaderSize - 1, quantArraysStart - 1, len(good) / 3, len(good) - 1} {
-		for _, mode := range []ViewMode{ViewAuto, ViewCopy} {
-			if _, err := FromBytes(good[:n], mode); err == nil {
-				t.Fatalf("truncation to %d bytes (mode %d) went undetected", n, mode)
-			}
-		}
+	ctxs := parityContexts(rng, sessions, vocab)[:20]
+	ns := make([]int, len(ctxs))
+	for i := range ns {
+		ns[i] = 5
 	}
-
-	for trial := 0; trial < 200; trial++ {
+	loaded := 0
+	for trial := 0; trial < 400; trial++ {
 		bad := append([]byte(nil), good...)
-		bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-		if _, err := FromBytes(bad, ViewCopy); err == nil {
-			t.Fatalf("trial %d: corrupted blob passed ViewCopy", trial)
+		for flips := 1 + rng.Intn(3); flips > 0; flips-- {
+			bad[flatHeaderSize+rng.Intn(len(bad)-flatHeaderSize)] ^= byte(1 + rng.Intn(255))
 		}
-	}
-
-	ctxs := parityContexts(rng, sessions, vocab)
-	for trial := 0; trial < 200; trial++ {
-		bad := append([]byte(nil), good...)
-		bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-		m, err := FromBytes(bad, ViewAuto)
+		restampCRC(bad)
+		m, err := FromBytes(bad)
 		if err != nil {
 			continue
 		}
-		for _, ctx := range ctxs[:10] {
+		loaded++
+		for _, ctx := range ctxs {
 			m.Predict(ctx, 5)
 			if len(ctx) > 0 {
 				m.Prob(ctx, ctx[len(ctx)-1])
 			}
 		}
+		m.PredictBatch(ctxs, ns, func(int, []model.Prediction) {})
 	}
+	t.Logf("%d of 400 damaged blobs passed structural validation and served", loaded)
 }
 
-// TestQuantisedCannotWriteExactForms: the exact CPS1/CPS3 encoders must
-// refuse a quantised model loudly (its raw counts are gone) instead of
-// writing garbage.
-func TestQuantisedCannotWriteExactForms(t *testing.T) {
-	c, _, _, _ := flatTestModel(t, 419)
-	q := mustQuantise(t, c, ViewCopy)
-	if _, err := q.WriteTo(&bytes.Buffer{}); err == nil {
-		t.Fatal("WriteTo on a quantised model succeeded")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AppendFlat on a quantised model did not panic")
-		}
-	}()
-	q.AppendFlat(nil)
-}
-
-// TestQuantZeroAllocs: steady-state prediction on a quantised model must
-// stay allocation-free — the narrow arrays are read in place.
+// TestQuantZeroAllocs: the batched descent over a decoded model must stay
+// allocation-free, like the single-context path (TestFlat5ZeroAllocs).
 func TestQuantZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
 	}
 	c, sessions, vocab, rng := flatTestModel(t, 421)
-	q := mustQuantise(t, c, ViewAuto)
-	ctxs := parityContexts(rng, sessions, vocab)
-	buf := make([]model.Prediction, 0, 32)
-	for _, ctx := range ctxs {
-		buf = q.AppendPredictions(buf[:0], ctx, 5)
+	q := mustCompact(t, c)
+	ctxs := parityContexts(rng, sessions, vocab)[:64]
+	ns := make([]int, len(ctxs))
+	for i := range ns {
+		ns[i] = 5
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		ctx := ctxs[i%len(ctxs)]
-		buf = q.AppendPredictions(buf[:0], ctx, 5)
-		if len(ctx) > 0 {
-			_ = q.Prob(ctx, ctx[len(ctx)-1])
-		}
-		i++
+	sink := 0
+	emit := func(i int, preds []model.Prediction) { sink += len(preds) }
+	q.PredictBatch(ctxs, ns, emit) // warm the pool to steady state
+	allocs := testing.AllocsPerRun(100, func() {
+		q.PredictBatch(ctxs, ns, emit)
 	})
 	if allocs > 0.05 {
-		t.Fatalf("steady-state quantised predict allocates %.2f times per op, want 0", allocs)
+		t.Fatalf("steady-state decoded batch predict allocates %.2f times per op, want 0 (sink %d)", allocs, sink)
 	}
 }

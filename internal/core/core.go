@@ -14,23 +14,22 @@
 // (HMM, cluster, pairwise fleet arms) implement the same seam, so cache,
 // fleet and serve hold a Recommender and never know which family answers.
 //
-// Persistence: Save writes the current QRECV005 container (dictionary,
-// interpreted mixture, and the compact quantised CPS5 compiled blob at a
-// page-aligned offset); SaveAs keeps the QRECV002/QRECV003/QRECV004
-// writers. Load reads every version back to QRECV001. LoadPath is the
-// production cold-start route: for V003/V004/V005 files it memory-maps the
-// compiled blob (no decoding, lazy page-in, cross-process page sharing) and
-// defers the interpreted-mixture decode until first Model() use; LoadInfo
-// reports the route taken, the blob encoding served and its byte length.
+// Persistence: Save writes the QRECV005 container (dictionary, interpreted
+// mixture, and the CPS5 compiled blob). Load reads every version back to
+// QRECV001: a V005 compiled section is decoded once into the heap, and
+// V001–V004 files (whose compiled sections used retired encodings) are
+// served by compiling their mixture section. LoadPath is the production
+// cold-start route: for V005 files it reads and decodes only the compiled
+// blob and defers the interpreted-mixture decode until first Model() use;
+// LoadInfo reports the route taken, the blob encoding served and its byte
+// length.
 //
 // Invariants: an Engine is immutable after training or loading — the
 // Recommender methods are safe for unbounded concurrent callers without
 // locking, and the Append* variants are allocation-free with recycled
-// buffers. Serving goes through the
-// compiled single-PST form whenever it exists (always, for mixtures built
-// by this pipeline); quantised (CPS4-loaded) models serve with a bounded
-// ≤ ~2e-5 absolute probability error, and SaveAs transparently recompiles
-// from the mixture when an exact format is requested from one.
+// buffers. Serving goes through the compiled single-PST form whenever it
+// exists (always, for mixtures built by this pipeline); CPS5-loaded models
+// serve with a bounded ≤ ~2e-5 absolute probability error.
 package core
 
 import (
@@ -41,7 +40,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/compiled"
@@ -102,45 +100,27 @@ type Engine struct {
 	cfg   Config
 	info  LoadInfo
 
-	// batchWorkers caps the parallel batch descent's fan-out (see
-	// SetBatchWorkers); 0 means GOMAXPROCS.
-	batchWorkers atomic.Int32
-
-	// V003 mmap loads defer decoding the interpreted mixture (serving only
-	// needs the compiled form): Model() triggers mixLoad exactly once.
+	// LoadPath defers decoding the interpreted mixture (serving only needs
+	// the compiled form): Model() triggers mixLoad exactly once.
 	mixOnce sync.Once
 	mixLoad func() (*markov.MVMM, error)
 	mixErr  error
 }
 
-// SetBatchWorkers caps the worker fan-out of the parallel batch descent
-// behind RecommendBatchIDs: n <= 0 restores the default (GOMAXPROCS), 1
-// forces the sequential path, anything else bounds the goroutines one batch
-// may spawn. Safe to call concurrently with serving — the knob is read per
-// batch. Results are bit-identical at any setting; only latency changes.
-func (r *Engine) SetBatchWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	r.batchWorkers.Store(int32(n))
-}
-
 // Model-provenance modes reported by LoadInfo.
 const (
 	LoadModeTrained = "trained" // built in-process by TrainFrom*
-	LoadModeHeap    = "heap"    // decoded from a model file into the heap
-	LoadModeMmap    = "mmap"    // compiled form memory-mapped from a V003/V004 file
+	LoadModeHeap    = "heap"    // decoded from a model file
 )
 
 // LoadInfo describes how the recommender's serving model materialised —
 // surfaced through /healthz and cmd/serve logs so cold-start behaviour and
 // the served memory footprint are observable in production.
 type LoadInfo struct {
-	Mode      string        // LoadModeTrained, LoadModeHeap or LoadModeMmap
+	Mode      string        // LoadModeTrained or LoadModeHeap
 	Version   string        // save-format magic of the source file, "" if trained
-	Format    string        // compiled-blob encoding served ("CPS1", "CPS3", "CPS4", "CPS5"); "" if compiled in-process
-	BlobBytes int64         // byte length of the compiled blob decoded or mapped; 0 if compiled in-process
-	MapAdvice string        // kernel paging hints applied to the mapping ("willneed", "mlock", …); "" when none
+	Format    string        // compiled-blob encoding served ("CPS5"); "" if compiled in-process
+	BlobBytes int64         // byte length of the compiled blob decoded; 0 if compiled in-process
 	Duration  time.Duration // wall time of the Load/LoadPath call
 }
 
@@ -213,13 +193,12 @@ func (r *Engine) AppendSuggestions(dst []Suggestion, ctx query.Seq, n int) []Sug
 }
 
 // RecommendBatchIDs scores many interned contexts through the shared-scratch
-// batched trie descent (compiled.PredictBatchParallel): contexts are grouped
-// by shared suffix so sibling lookups amortise cache-line loads, and large
-// batches are split across up to SetBatchWorkers goroutines (default
-// GOMAXPROCS; answers are bit-identical to the sequential walk), which is
-// what makes POST /suggest/batch cheaper than n single requests. Results
-// align 1:1 with ctxs; uncovered or empty contexts yield nil entries. Each
-// non-nil result slice is freshly allocated (callers cache them).
+// batched trie descent (compiled.PredictBatch): contexts are grouped by
+// shared suffix so sibling lookups amortise descents and cache-line loads,
+// which is what makes POST /suggest/batch cheaper than n single requests.
+// Results align 1:1 with ctxs; uncovered or empty contexts yield nil
+// entries. Each non-nil result slice is freshly allocated (callers cache
+// them).
 func (r *Engine) RecommendBatchIDs(ctxs []query.Seq, ns []int) [][]Suggestion {
 	out := make([][]Suggestion, len(ctxs))
 	if r.comp == nil { // interpreted fallback: no batched descent available
@@ -228,7 +207,7 @@ func (r *Engine) RecommendBatchIDs(ctxs []query.Seq, ns []int) [][]Suggestion {
 		}
 		return out
 	}
-	r.comp.PredictBatchParallel(ctxs, ns, int(r.batchWorkers.Load()), func(i int, preds []model.Prediction) {
+	r.comp.PredictBatch(ctxs, ns, func(i int, preds []model.Prediction) {
 		if len(preds) == 0 {
 			return
 		}
@@ -264,7 +243,7 @@ func (r *Engine) internContext(context []string) query.Seq {
 func (r *Engine) Dict() *query.Dict { return r.dict }
 
 // Model exposes the trained mixture (for evaluation and persistence). For
-// recommenders mmap-loaded through LoadPath the mixture is decoded lazily on
+// recommenders loaded through LoadPath the mixture is decoded lazily on
 // first call — cold starts that only serve never pay for it. Returns nil if
 // the deferred decode fails (the error surfaces through Save).
 func (r *Engine) Model() *markov.MVMM {
@@ -281,16 +260,10 @@ func (r *Engine) Model() *markov.MVMM {
 	return r.mix
 }
 
-// Close releases resources tied to the serving model — for V003 files loaded
-// through LoadPath it unmaps the compiled form (otherwise it is a no-op; the
-// GC would reclaim the mapping eventually regardless). The recommender must
-// not be used after Close.
-func (r *Engine) Close() error {
-	if r.comp != nil {
-		return r.comp.Release()
-	}
-	return nil
-}
+// Close implements Recommender and releases nothing: the serving arrays are
+// heap memory, and the file LoadPath keeps open for the lazy mixture decode
+// is closed by that decode or by the garbage collector.
+func (r *Engine) Close() error { return nil }
 
 // CompiledModel exposes the flat serving form, or nil when the engine fell
 // back to the interpreted mixture.
@@ -309,22 +282,16 @@ func (r *Engine) Predictor() compiled.Predictor {
 // Stats returns the training-collection statistics (Table IV shape).
 func (r *Engine) Stats() session.Stats { return r.stats }
 
-// Save-format magics. V001 files hold (dictionary, mixture); V002 appends a
-// third section with the varint-encoded (CPS1) compiled single-PST serving
-// form so cold starts skip recompilation; V003 stores the compiled form in
-// the mmap-able CPS3 flat layout at a page-aligned file offset so cold
-// starts skip decoding entirely (LoadPath maps it; the reader-based Load
-// decodes it into the heap); V004 keeps the V003 framing but stores the
-// compiled form in the quantised CPS4 layout — fixed-point uint16 follower
-// probabilities against per-node float32 steps and width-narrowed node
-// arrays — which shrinks the served blob by roughly half at a bounded
-// (≤ ~2e-5 absolute) probability error. V005 keeps the same framing with
-// the compact CPS5 layout — delta/varint-packed follower IDs and CSR
-// offsets on top of CPS4's quantisation, at the same error bound. Load and
-// LoadPath read all five; Save writes V005 (falling back blob-by-blob to
-// CPS4, then exact CPS3, when a model's statistics refuse a tier). SaveAs
-// keeps the V002/V003/V004 writers for deployments that need bit-exact
-// serving or pre-V005 readers.
+// Save-format magics. Every version starts with the magic and two
+// length-prefixed sections, the query dictionary and the interpreted
+// mixture. V001 stops there. V002 appends a length-prefixed compiled
+// section (the retired varint CPS1 encoding). V003, V004 and V005 append the
+// compiled blob framed as (uint64 pad length, pad, uint64 blob length,
+// blob), padded so the blob starts on a compiledAlign file boundary; V003
+// and V004 carried the retired CPS3 and CPS4 encodings, V005 carries CPS5.
+// Save writes V005. Load and LoadPath serve a V005 blob directly and answer
+// every other version — and a V005 file whose compiled section is empty or
+// holds a retired encoding — by compiling the mixture section.
 const (
 	saveMagicV1 = "QRECV001"
 	saveMagicV2 = "QRECV002"
@@ -333,9 +300,7 @@ const (
 	saveMagicV5 = "QRECV005"
 )
 
-// compiledAlign is the file alignment of the V003/V004 compiled blob. 4 KiB
-// covers every common page size; LoadPath additionally aligns the mapping
-// down to the runtime page boundary, so larger-page systems still work.
+// compiledAlign is the file alignment of the V003–V005 compiled blob.
 const compiledAlign = 4096
 
 // writeSection emits one length-prefixed section so Load can hand each
@@ -343,10 +308,8 @@ const compiledAlign = 4096
 // read past their section).
 func writeSection(w io.Writer, name string, wt io.WriterTo) error {
 	var buf bytes.Buffer
-	if wt != nil {
-		if _, err := wt.WriteTo(&buf); err != nil {
-			return fmt.Errorf("core: saving %s: %w", name, err)
-		}
+	if _, err := wt.WriteTo(&buf); err != nil {
+		return fmt.Errorf("core: saving %s: %w", name, err)
 	}
 	var hdr [8]byte
 	binary.LittleEndian.PutUint64(hdr[:], uint64(buf.Len()))
@@ -357,66 +320,8 @@ func writeSection(w io.Writer, name string, wt io.WriterTo) error {
 	return err
 }
 
-// Save persists the recommender — dictionary, interpreted mixture (the build
-// artifact) and compiled serving form — in the current V005 layout (the
-// compact CPS5 compiled blob, falling back to CPS4/CPS3 when the model's
-// statistics refuse a tier). A recommender without a compiled model writes
-// an empty compiled section; Load recompiles.
-func (r *Engine) Save(w io.Writer) error {
-	return r.SaveAs(w, saveMagicV5)
-}
-
-// exactComp returns a compiled model carrying exact float64 probabilities,
-// as the CPS1 (V002) and CPS3 (V003) writers require: the served model when
-// it is exact, a recompilation of the interpreted mixture when the served
-// model was loaded from a quantised CPS4 blob (whose raw counts are gone).
-// Returns nil when no compiled form can be produced — the caller then
-// writes an empty compiled section and Load recompiles.
-func (r *Engine) exactComp(mix *markov.MVMM) *compiled.Model {
-	if r.comp != nil && r.comp.Exact() {
-		return r.comp
-	}
-	comp, _ := compiled.Compile(mix)
-	return comp
-}
-
-// SaveAs persists the recommender in a specific save-format version:
-// "QRECV005" (the Save default, compact quantised mmap-able compiled
-// section), "QRECV004" (quantised mmap-able compiled section), "QRECV003"
-// (exact mmap-able compiled section) or "QRECV002" (varint compiled
-// section, for files older deployments must read). It exists for
-// compatibility tooling and for deployments that need the exact formats'
-// bit-identical serving.
-func (r *Engine) SaveAs(w io.Writer, version string) error {
-	mix := r.Model()
-	if mix == nil {
-		return fmt.Errorf("core: mixture unavailable for save: %w", r.mixErr)
-	}
-	switch version {
-	case saveMagicV2:
-		if _, err := io.WriteString(w, saveMagicV2); err != nil {
-			return err
-		}
-		if err := writeSection(w, "dictionary", r.dict); err != nil {
-			return err
-		}
-		if err := writeSection(w, "model", mix); err != nil {
-			return err
-		}
-		var comp io.WriterTo
-		if c := r.exactComp(mix); c != nil {
-			comp = c
-		}
-		return writeSection(w, "compiled model", comp)
-	case saveMagicV3, saveMagicV4, saveMagicV5:
-		return r.saveFlat(w, mix, version)
-	default:
-		return fmt.Errorf("core: unknown save version %q", version)
-	}
-}
-
-// countWriter tracks the file offset so saveFlat can pad the compiled blob
-// to a page boundary.
+// countWriter tracks the file offset so Save can pad the compiled blob to
+// its alignment boundary.
 type countWriter struct {
 	w io.Writer
 	n int64
@@ -428,19 +333,26 @@ func (cw *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// saveFlat writes the shared V003/V004/V005 layout: magic, dictionary and
-// mixture sections as in V002, then the compiled model as a flat blob —
-// exact CPS3 under the V003 magic, quantised CPS4 under V004, compact CPS5
-// under V005 — padded to start on a compiledAlign boundary, the
-// precondition for LoadPath's zero-copy mmap. The blob is framed as (uint64
-// pad length, pad, uint64 blob length, blob). A save of a model whose
-// statistics do not fit the requested tier (see compiled.ErrUnquantisable)
-// falls back one tier at a time — V005 → CPS4 → exact CPS3 — in the same
-// container; LoadPath dispatches on the blob's own magic, so nothing
-// downstream cares.
-func (r *Engine) saveFlat(w io.Writer, mix *markov.MVMM, version string) error {
+// Save persists the recommender — dictionary, interpreted mixture (the build
+// artifact) and compiled serving form — as a QRECV005 container. A
+// recommender without a compiled model, or whose model CPS5 refuses (see
+// compiled.ErrUnquantisable), writes an empty compiled section; Load
+// recompiles.
+func (r *Engine) Save(w io.Writer) error {
+	mix := r.Model()
+	if mix == nil {
+		return fmt.Errorf("core: mixture unavailable for save: %w", r.mixErr)
+	}
+	var blob []byte
+	if r.comp != nil {
+		var err error
+		blob, err = r.comp.AppendFlat5(nil)
+		if err != nil && !errors.Is(err, compiled.ErrUnquantisable) {
+			return fmt.Errorf("core: encoding compiled model: %w", err)
+		}
+	}
 	cw := &countWriter{w: w}
-	if _, err := io.WriteString(cw, version); err != nil {
+	if _, err := io.WriteString(cw, saveMagicV5); err != nil {
 		return err
 	}
 	if err := writeSection(cw, "dictionary", r.dict); err != nil {
@@ -449,55 +361,22 @@ func (r *Engine) saveFlat(w io.Writer, mix *markov.MVMM, version string) error {
 	if err := writeSection(cw, "model", mix); err != nil {
 		return err
 	}
-	var blob []byte
-	if version == saveMagicV5 && r.comp != nil {
-		b5, err := r.comp.AppendFlat5(nil, false)
-		if err != nil && !errors.Is(err, compiled.ErrUnquantisable) {
-			return fmt.Errorf("core: compacting compiled model: %w", err)
-		}
-		if err == nil {
-			blob = b5
-		}
-	}
-	if len(blob) == 0 && (version == saveMagicV4 || version == saveMagicV5) && r.comp != nil {
-		b4, err := r.comp.AppendFlat4(nil)
-		if err != nil && !errors.Is(err, compiled.ErrUnquantisable) {
-			return fmt.Errorf("core: quantising compiled model: %w", err)
-		}
-		if err == nil {
-			blob = b4
-		}
-	}
-	if len(blob) == 0 {
-		if c := r.exactComp(mix); c != nil {
-			blob = c.AppendFlat(nil)
-		}
-	}
 	pad := int((compiledAlign - (cw.n+16)%compiledAlign) % compiledAlign)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(pad))
-	if _, err := cw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if pad > 0 {
-		if _, err := cw.Write(make([]byte, pad)); err != nil {
-			return err
-		}
-	}
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(blob)))
-	if _, err := cw.Write(hdr[:]); err != nil {
+	frame := make([]byte, 16+pad)
+	binary.LittleEndian.PutUint64(frame, uint64(pad))
+	binary.LittleEndian.PutUint64(frame[8+pad:], uint64(len(blob)))
+	if _, err := cw.Write(frame); err != nil {
 		return err
 	}
 	_, err := cw.Write(blob)
 	return err
 }
 
-// Load restores a recommender written by Save from a stream: the current
-// V005 layout (compact quantised compiled section decoded into the heap —
-// use LoadPath for the zero-copy mmap), the V004 layout, the V003 layout,
-// the V002 layout, or the legacy V001 layout (which lacks the compiled
-// section — the serving form is then compiled from the mixture on the
-// spot).
+// maxSection bounds any section length read from a file header.
+const maxSection = 1 << 40
+
+// Load restores a recommender from a stream holding any save-format
+// version (see the save-format magics for how each is served).
 func Load(rd io.Reader) (*Engine, error) {
 	start := time.Now()
 	r, info, err := load(rd)
@@ -523,239 +402,186 @@ func load(rd io.Reader) (*Engine, LoadInfo, error) {
 	default:
 		return nil, info, fmt.Errorf("core: unrecognised model file header %q", magic)
 	}
-	section := func(name string) (io.Reader, uint64, error) {
+	readLen := func(what string) (int64, error) {
 		var hdr [8]byte
 		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-			return nil, 0, fmt.Errorf("core: reading %s header: %w", name, err)
+			return 0, fmt.Errorf("core: reading %s header: %w", what, err)
 		}
 		n := binary.LittleEndian.Uint64(hdr[:])
-		if n > 1<<40 {
-			return nil, 0, fmt.Errorf("core: implausible %s section of %d bytes", name, n)
+		if n > maxSection {
+			return 0, fmt.Errorf("core: implausible %s of %d bytes", what, n)
 		}
-		return io.LimitReader(rd, int64(n)), n, nil
+		return int64(n), nil
 	}
-	ds, _, err := section("dictionary")
+	n, err := readLen("dictionary section")
 	if err != nil {
 		return nil, info, err
 	}
-	dict, err := query.ReadDict(ds)
+	dict, err := query.ReadDict(io.LimitReader(rd, n))
 	if err != nil {
 		return nil, info, fmt.Errorf("core: loading dictionary: %w", err)
 	}
-	ms, _, err := section("model")
-	if err != nil {
+	if n, err = readLen("model section"); err != nil {
 		return nil, info, err
 	}
-	mix, err := markov.ReadMVMM(ms)
+	mix, err := markov.ReadMVMM(io.LimitReader(rd, n))
 	if err != nil {
 		return nil, info, fmt.Errorf("core: loading model: %w", err)
 	}
 	r := &Engine{dict: dict, mix: mix, cfg: DefaultConfig()}
-	switch version {
-	case saveMagicV2:
-		cs, n, err := section("compiled model")
-		if err != nil {
+	if version != saveMagicV1 {
+		if version != saveMagicV2 {
+			pad, err := readLen("compiled padding")
+			if err != nil {
+				return nil, info, err
+			}
+			if pad >= compiledAlign {
+				return nil, info, fmt.Errorf("core: implausible compiled-section padding of %d bytes", pad)
+			}
+			if _, err := io.CopyN(io.Discard, rd, pad); err != nil {
+				return nil, info, fmt.Errorf("core: skipping compiled padding: %w", err)
+			}
+		}
+		if n, err = readLen("compiled section"); err != nil {
 			return nil, info, err
 		}
-		if n > 0 {
-			comp, err := compiled.Read(cs)
+		// Read incrementally: a truncated or lying stream fails at EOF
+		// instead of first allocating the length it claims.
+		var blob bytes.Buffer
+		if _, err := io.CopyN(&blob, rd, n); err != nil {
+			return nil, info, fmt.Errorf("core: reading compiled section: %w", err)
+		}
+		if version == saveMagicV5 {
+			comp, err := decodeCompiled(blob.Bytes())
 			if err != nil {
-				return nil, info, fmt.Errorf("core: loading compiled model: %w", err)
+				return nil, info, err
 			}
-			r.comp = comp
-			info.Format = "CPS1"
-			info.BlobBytes = int64(n)
-			return r, info, nil
-		}
-	case saveMagicV3, saveMagicV4, saveMagicV5:
-		var hdr [8]byte
-		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-			return nil, info, fmt.Errorf("core: reading compiled padding header: %w", err)
-		}
-		pad := binary.LittleEndian.Uint64(hdr[:])
-		if pad >= compiledAlign {
-			return nil, info, fmt.Errorf("core: implausible compiled-section padding of %d bytes", pad)
-		}
-		if _, err := io.CopyN(io.Discard, rd, int64(pad)); err != nil {
-			return nil, info, fmt.Errorf("core: skipping compiled padding: %w", err)
-		}
-		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-			return nil, info, fmt.Errorf("core: reading compiled-section header: %w", err)
-		}
-		blobLen := binary.LittleEndian.Uint64(hdr[:])
-		if blobLen > 1<<40 {
-			return nil, info, fmt.Errorf("core: implausible compiled section of %d bytes", blobLen)
-		}
-		if blobLen > 0 {
-			blob := make([]byte, blobLen)
-			if _, err := io.ReadFull(rd, blob); err != nil {
-				return nil, info, fmt.Errorf("core: reading compiled section: %w", err)
+			if comp != nil {
+				r.comp = comp
+				info.Format = compiledFormat
+				info.BlobBytes = n
+				return r, info, nil
 			}
-			comp, err := compiled.FromBytes(blob, compiled.ViewCopy)
-			if err != nil {
-				return nil, info, fmt.Errorf("core: loading compiled model: %w", err)
-			}
-			r.comp = comp
-			info.Format = blobFormat(blob)
-			info.BlobBytes = int64(blobLen)
-			return r, info, nil
 		}
 	}
 	r.comp, _ = compiled.Compile(mix)
 	return r, info, nil
 }
 
-// blobFormat reports a flat compiled blob's encoding by its leading magic.
-func blobFormat(blob []byte) string {
-	if len(blob) < 4 {
-		return ""
+// compiledFormat is the one compiled-blob encoding Load and LoadPath serve.
+const compiledFormat = "CPS5"
+
+// decodeCompiled decodes a V005 compiled section. It returns nil without an
+// error for an empty section or one holding a retired encoding (CPS3 or CPS4,
+// which Save wrote in V005 files when CPS5 refused a model): the caller then
+// compiles the mixture.
+func decodeCompiled(blob []byte) (*compiled.Model, error) {
+	if len(blob) == 0 || bytes.HasPrefix(blob, []byte("CPS3")) || bytes.HasPrefix(blob, []byte("CPS4")) {
+		return nil, nil
 	}
-	return string(blob[:4])
+	comp, err := compiled.FromBytes(blob)
+	if err != nil {
+		return nil, fmt.Errorf("core: loading compiled model: %w", err)
+	}
+	return comp, nil
 }
 
 // LoadPath restores a recommender from a model file on disk, taking the
-// fastest load path the file allows. For V003/V004/V005 files the compiled
-// serving form is memory-mapped in place — a cold start costs the
-// dictionary decode plus O(1) mapping work, the kernel faults trie pages in
-// lazily, and concurrent server processes share one page-cache copy — and
-// the interpreted mixture is decoded lazily on first Model() use, so a
-// process that only serves never pays for it. V001/V002 files (and
-// V003/V004/V005 files without a compiled section, or platforms without
-// mmap) fall back to the reader-based heap Load. LoadInfo reports which
-// path was taken, the blob encoding served (CPS3, quantised CPS4 or
-// compact CPS5) and its byte length.
+// fastest load path the file allows. For V005 files it reads the dictionary
+// and the compiled blob with positioned reads, decodes the blob once, and
+// decodes the interpreted mixture lazily on first Model() use, so a process
+// that only serves never pays for it. Every other version, and V005 files
+// whose compiled section Load would not serve, go through Load.
 func LoadPath(path string) (*Engine, error) {
-	return LoadPathWith(path, LoadOptions{})
-}
-
-// LoadOptions tunes LoadPathWith's mmap fast path. The zero value is
-// LoadPath's behaviour: plain demand paging.
-type LoadOptions struct {
-	// MapWillNeed requests madvise(MADV_WILLNEED) on the mapped compiled
-	// blob: asynchronous sequential readahead instead of per-page faults on
-	// first touch, removing the cold-start latency spike.
-	MapWillNeed bool
-	// MapLock requests mlock(2) on the mapping: trie pages become
-	// unevictable under memory pressure (needs RLIMIT_MEMLOCK headroom).
-	MapLock bool
-}
-
-// LoadPathWith is LoadPath with explicit load options. Paging hints are
-// best-effort: a refused hint degrades to demand paging and the outcome is
-// reported in LoadInfo.MapAdvice (and onward through /healthz), never as an
-// error.
-func LoadPathWith(path string, opts LoadOptions) (*Engine, error) {
 	start := time.Now()
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	// The descriptor is retained (not closed) on the successful V003/V004
-	// path: the lazy mixture load below reads through it, which pins the
-	// inode the compiled form was mapped from — a deploy replacing the file
-	// at this path must not make Model() decode a different file's bytes.
+	// The descriptor is retained (not closed) on the successful V005 path:
+	// the lazy mixture load below reads through it, which pins the inode the
+	// compiled form was read from — a deploy replacing the file at this path
+	// must not make Model() decode a different file's bytes.
 	keepOpen := false
 	defer func() {
 		if !keepOpen {
 			f.Close()
 		}
 	}()
-	magic := make([]byte, len(saveMagicV3))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		return nil, fmt.Errorf("core: reading header: %w", err)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	version := string(magic)
-	if version != saveMagicV3 && version != saveMagicV4 && version != saveMagicV5 {
+	readU64At := func(off int64, what string) (int64, error) {
+		var hdr [8]byte
+		if _, err := f.ReadAt(hdr[:], off); err != nil {
+			return 0, fmt.Errorf("core: reading %s: %w", what, err)
+		}
+		n := binary.LittleEndian.Uint64(hdr[:])
+		if n > uint64(fi.Size()) {
+			return 0, fmt.Errorf("core: %s of %d overruns the %d-byte file", what, n, fi.Size())
+		}
+		return int64(n), nil
+	}
+	heapLoad := func() (*Engine, error) {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return nil, err
 		}
 		return Load(f)
 	}
 
-	readU64At := func(off int64, what string) (uint64, error) {
-		var hdr [8]byte
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			return 0, fmt.Errorf("core: reading %s: %w", what, err)
-		}
-		return binary.LittleEndian.Uint64(hdr[:]), nil
+	magic := make([]byte, len(saveMagicV5))
+	if _, err := f.ReadAt(magic, 0); err != nil || string(magic) != saveMagicV5 {
+		return heapLoad()
 	}
-
-	off := int64(len(version))
-	dictLen, err := readU64At(off, "dictionary header")
+	off := int64(len(magic))
+	dictLen, err := readU64At(off, "dictionary section length")
 	if err != nil {
 		return nil, err
 	}
-	if dictLen > 1<<40 {
-		return nil, fmt.Errorf("core: implausible dictionary section of %d bytes", dictLen)
-	}
-	dict, err := query.ReadDict(io.NewSectionReader(f, off+8, int64(dictLen)))
+	dict, err := query.ReadDict(io.NewSectionReader(f, off+8, dictLen))
 	if err != nil {
 		return nil, fmt.Errorf("core: loading dictionary: %w", err)
 	}
-	off += 8 + int64(dictLen)
-
-	mixLen, err := readU64At(off, "model header")
+	off += 8 + dictLen
+	mixLen, err := readU64At(off, "model section length")
 	if err != nil {
 		return nil, err
 	}
-	if mixLen > 1<<40 {
-		return nil, fmt.Errorf("core: implausible model section of %d bytes", mixLen)
-	}
 	mixOff := off + 8
-	off += 8 + int64(mixLen)
-
-	pad, err := readU64At(off, "compiled padding header")
+	off = mixOff + mixLen
+	pad, err := readU64At(off, "compiled padding")
 	if err != nil {
 		return nil, err
 	}
 	if pad >= compiledAlign {
 		return nil, fmt.Errorf("core: implausible compiled-section padding of %d bytes", pad)
 	}
-	blobLen, err := readU64At(off+8+int64(pad), "compiled-section header")
+	blobLen, err := readU64At(off+8+pad, "compiled section length")
 	if err != nil {
 		return nil, err
 	}
-	blobOff := off + 16 + int64(pad)
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if blobLen > 1<<40 || blobOff+int64(blobLen) > fi.Size() {
+	blobOff := off + 16 + pad
+	if blobOff+blobLen > fi.Size() {
 		return nil, fmt.Errorf("core: compiled section of %d bytes at offset %d overruns the %d-byte file",
 			blobLen, blobOff, fi.Size())
 	}
-	if blobLen == 0 {
-		// No compiled section: recompiling needs the mixture — heap Load.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		return Load(f)
+	blob := make([]byte, blobLen)
+	if _, err := f.ReadAt(blob, blobOff); err != nil {
+		return nil, fmt.Errorf("core: reading compiled section: %w", err)
 	}
-
-	var blobMagic [4]byte
-	if _, err := f.ReadAt(blobMagic[:], blobOff); err != nil {
-		return nil, fmt.Errorf("core: reading compiled-blob magic: %w", err)
-	}
-
-	mode := LoadModeMmap
-	comp, err := compiled.OpenMmapAdvised(path, blobOff, int64(blobLen),
-		compiled.MapAdvice{WillNeed: opts.MapWillNeed, Lock: opts.MapLock})
-	if errors.Is(err, compiled.ErrMmapUnsupported) {
-		mode = LoadModeHeap
-		blob := make([]byte, blobLen)
-		if _, rerr := f.ReadAt(blob, blobOff); rerr != nil {
-			return nil, fmt.Errorf("core: reading compiled section: %w", rerr)
-		}
-		comp, err = compiled.FromBytes(blob, compiled.ViewCopy)
-	}
+	comp, err := decodeCompiled(blob)
 	if err != nil {
-		return nil, fmt.Errorf("core: loading compiled model: %w", err)
+		return nil, err
+	}
+	if comp == nil {
+		return heapLoad()
 	}
 
 	r := &Engine{dict: dict, comp: comp, cfg: DefaultConfig()}
 	r.mixLoad = func() (*markov.MVMM, error) {
 		defer f.Close() // runs at most once, under the Model() sync.Once
-		mix, err := markov.ReadMVMM(io.NewSectionReader(f, mixOff, int64(mixLen)))
+		mix, err := markov.ReadMVMM(io.NewSectionReader(f, mixOff, mixLen))
 		if err != nil {
 			return nil, fmt.Errorf("core: lazily loading mixture: %w", err)
 		}
@@ -763,12 +589,15 @@ func LoadPathWith(path string, opts LoadOptions) (*Engine, error) {
 	}
 	keepOpen = true
 	r.info = LoadInfo{
-		Mode:      mode,
-		Version:   version,
-		Format:    blobFormat(blobMagic[:]),
-		BlobBytes: int64(blobLen),
-		MapAdvice: comp.MapAdvice(),
+		Mode:      LoadModeHeap,
+		Version:   saveMagicV5,
+		Format:    compiledFormat,
+		BlobBytes: blobLen,
 		Duration:  time.Since(start),
 	}
 	return r, nil
 }
+
+// LoadOptions is accepted by LoadAnyPath; it has no fields, since every
+// model file loads one way.
+type LoadOptions struct{}

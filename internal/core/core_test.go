@@ -220,46 +220,6 @@ func writeV1(t *testing.T, rec *Engine) []byte {
 	return buf.Bytes()
 }
 
-func TestSaveAsWritesV2WithCompiledSection(t *testing.T) {
-	rec, err := TrainFromLog(strings.NewReader(buildLog(t)), smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.CompiledModel() == nil {
-		t.Fatal("training did not compile the mixture")
-	}
-	var buf bytes.Buffer
-	if err := rec.SaveAs(&buf, saveMagicV2); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String()[:len(saveMagicV2)]; got != saveMagicV2 {
-		t.Fatalf("header = %q, want %q", got, saveMagicV2)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.CompiledModel() == nil {
-		t.Fatal("V002 load did not restore the compiled model")
-	}
-	// The persisted compiled form must be the one served, bit-identical to
-	// the freshly compiled one.
-	if n, l := rec.CompiledModel().Nodes(), loaded.CompiledModel().Nodes(); n != l {
-		t.Fatalf("compiled trie resized across save/load: %d vs %d", n, l)
-	}
-	for _, ctxs := range [][]string{{"nokia n73"}, {"kidney stones"}, {"nokia n73", "nokia n73 themes"}} {
-		a, b := Recommend(rec, ctxs, 5), Recommend(loaded, ctxs, 5)
-		if len(a) != len(b) {
-			t.Fatalf("ctx %v: %d vs %d suggestions", ctxs, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("ctx %v rank %d: %+v vs %+v", ctxs, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 func TestLoadV1BackCompat(t *testing.T) {
 	rec, err := TrainFromLog(strings.NewReader(buildLog(t)), smallConfig())
 	if err != nil {

@@ -11,8 +11,8 @@ import (
 )
 
 // Example walks the full production lifecycle: train a recommender from
-// aggregated sessions, persist it in the current QRECV004 format (quantised
-// mmap-able compiled section), restore it through the fast LoadPath route,
+// aggregated sessions, persist it in the QRECV005 format (CPS5 compiled
+// section), restore it through the fast LoadPath route,
 // and serve ranked suggestions through the interned-ID API the HTTP layer
 // uses. The output is asserted, so this runs in CI.
 func Example() {
@@ -36,8 +36,8 @@ func Example() {
 	cfg.Epsilons = []float64{0.0, 0.05}
 	rec := core.TrainFromAggregated(dict, sessions, cfg)
 
-	// Persist (Save writes QRECV004: dictionary, interpreted mixture, and
-	// the quantised CPS4 compiled section at a page-aligned offset).
+	// Persist (Save writes QRECV005: dictionary, interpreted mixture, and
+	// the CPS5 compiled section).
 	path := filepath.Join(os.TempDir(), "example-model.bin")
 	f, err := os.Create(path)
 	if err != nil {

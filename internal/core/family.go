@@ -123,11 +123,11 @@ func LoadFamily(rd io.Reader) (Recommender, error) {
 }
 
 // LoadAnyPath restores a serving model of any container format from disk:
-// QRECF001 family containers through LoadFamily, QRECV001–004 MVMM
-// containers through LoadPathWith (which mmaps V003/V004 compiled blobs).
+// QRECF001 family containers through LoadFamily, QRECV001–005 MVMM
+// containers through LoadPath.
 // This is what cmd/serve's -model and -arms loading goes through, so every
 // family is addressable by file path.
-func LoadAnyPath(path string, opts LoadOptions) (Recommender, error) {
+func LoadAnyPath(path string, _ LoadOptions) (Recommender, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -145,5 +145,5 @@ func LoadAnyPath(path string, opts LoadOptions) (Recommender, error) {
 		return LoadFamily(f)
 	}
 	f.Close()
-	return LoadPathWith(path, opts)
+	return LoadPath(path)
 }

@@ -51,8 +51,8 @@ type Recommender interface {
 	// CompiledModel exposes the flat MVMM serving form when the
 	// implementation has one, nil otherwise (non-MVMM family arms).
 	CompiledModel() *compiled.Model
-	// Close releases resources tied to the serving model (mmap regions);
-	// the recommender must not be used afterwards.
+	// Close releases resources tied to the serving model; the recommender
+	// must not be used afterwards.
 	Close() error
 }
 
@@ -179,13 +179,9 @@ func (a *predictorRec) Probability(context []string, q string) float64 {
 	return a.p.Prob(InternContext(a.dict, context), id)
 }
 
-// Close releases the wrapped Predictor's resources when it has any (the
-// compiled trie's mmap region via Release, or any io.Closer).
+// Close releases the wrapped Predictor's resources when it is an io.Closer.
 func (a *predictorRec) Close() error {
-	switch c := a.p.(type) {
-	case interface{ Release() error }:
-		return c.Release()
-	case io.Closer:
+	if c, ok := a.p.(io.Closer); ok {
 		return c.Close()
 	}
 	return nil

@@ -255,10 +255,9 @@ func TestTable7FootprintOrdering(t *testing.T) {
 	}
 }
 
-// TestTable7CompiledRowsMatchBlobBytes: Table VII's compiled rows must be
-// the exact byte lengths of the serving blobs production maps — the
-// AppendFlat/AppendFlat4 output — not an estimate, and the quantised row
-// must realise a substantial reduction over the exact flat form.
+// TestTable7CompiledRowsMatchBlobBytes: Table VII's compiled row must be
+// the exact byte length of the blob production stores — the AppendFlat5
+// output — not an estimate.
 func TestTable7CompiledRowsMatchBlobBytes(t *testing.T) {
 	_, m := setup(t)
 	r, err := Table7(m)
@@ -273,23 +272,17 @@ func TestTable7CompiledRowsMatchBlobBytes(t *testing.T) {
 	for i, name := range r.Models {
 		size[name] = r.Bytes[i]
 	}
-	if want := int64(len(comp.AppendFlat(nil))); size["MVMM (compiled CPS3)"] != want || r.CPS3Bytes != want {
-		t.Errorf("CPS3 row %d (field %d) != len(AppendFlat) %d", size["MVMM (compiled CPS3)"], r.CPS3Bytes, want)
-	}
-	blob4, err := comp.AppendFlat4(nil)
+	blob, err := comp.AppendFlat5(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(len(blob4)); size["MVMM (compiled CPS4, quantised)"] != want || r.CPS4Bytes != want {
-		t.Errorf("CPS4 row %d (field %d) != len(AppendFlat4) %d", size["MVMM (compiled CPS4, quantised)"], r.CPS4Bytes, want)
-	}
-	if r.CPS4Bytes >= r.CPS3Bytes {
-		t.Errorf("quantised CPS4 blob %d >= exact CPS3 blob %d", r.CPS4Bytes, r.CPS3Bytes)
+	if want := int64(len(blob)); size["MVMM (compiled CPS5)"] != want || r.CPS5Bytes != want {
+		t.Errorf("CPS5 row %d (field %d) != len(AppendFlat5) %d", size["MVMM (compiled CPS5)"], r.CPS5Bytes, want)
 	}
 	// The compiled serving blob must also undercut the serialized
 	// interpreted mixture it replaces — the deployment argument of Table VII.
-	if r.CPS4Bytes >= size["MVMM"] {
-		t.Errorf("CPS4 blob %d >= interpreted MVMM %d", r.CPS4Bytes, size["MVMM"])
+	if r.CPS5Bytes >= size["MVMM"] {
+		t.Errorf("CPS5 blob %d >= interpreted MVMM %d", r.CPS5Bytes, size["MVMM"])
 	}
 }
 

@@ -16,16 +16,15 @@ import (
 // Table7Result reports each model's memory footprint in bytes — the paper's
 // Table VII comparison — plus the PST node counts the paper quotes in
 // Sec. V.F.2. Interpreted models are measured as their serialized (CPS-free
-// varint) footprint; the MVMM is additionally measured in the two compiled
-// single-PST serving forms production actually maps: the exact CPS3 flat
-// blob and the quantised CPS4 blob, both byte-exact AppendFlat outputs.
+// varint) footprint; the MVMM is additionally measured as the compiled
+// single-PST blob production actually stores: the CPS5 blob, the byte-exact
+// AppendFlat5 output.
 type Table7Result struct {
 	Models    []string
 	Bytes     []int64
 	MVMMUnion int   // distinct nodes across all MVMM components
 	VMM00Size int   // the full tree's node count (paper: union == VMM(0.0))
-	CPS3Bytes int64 // exact compiled (CPS3) blob size — what a V003 file maps
-	CPS4Bytes int64 // quantised compiled (CPS4) blob size — what a V004 file maps; 0 when the model does not fit the quantised layout
+	CPS5Bytes int64 // compiled (CPS5) blob size — what a V005 file stores; 0 when the model does not fit the layout
 }
 
 // Table7 measures footprints of every trained model, including the compiled
@@ -63,19 +62,16 @@ func Table7(m *Models) (Table7Result, error) {
 	if err != nil {
 		return res, fmt.Errorf("experiments: compiling MVMM for Table VII: %w", err)
 	}
-	res.CPS3Bytes = int64(len(comp.AppendFlat(nil)))
-	res.Models = append(res.Models, "MVMM (compiled CPS3)")
-	res.Bytes = append(res.Bytes, res.CPS3Bytes)
-	switch blob4, err := comp.AppendFlat4(nil); {
+	switch blob, err := comp.AppendFlat5(nil); {
 	case err == nil:
-		res.CPS4Bytes = int64(len(blob4))
-		res.Models = append(res.Models, "MVMM (compiled CPS4, quantised)")
-		res.Bytes = append(res.Bytes, res.CPS4Bytes)
+		res.CPS5Bytes = int64(len(blob))
+		res.Models = append(res.Models, "MVMM (compiled CPS5)")
+		res.Bytes = append(res.Bytes, res.CPS5Bytes)
 	case errors.Is(err, compiled.ErrUnquantisable):
-		// The model does not fit the quantised layout (matching the save
-		// path, which falls back to CPS3); render the table without the row.
+		// The model does not fit the layout (the save path then stores no
+		// compiled section); render the table without the row.
 	default:
-		return res, fmt.Errorf("experiments: quantising MVMM for Table VII: %w", err)
+		return res, fmt.Errorf("experiments: encoding MVMM for Table VII: %w", err)
 	}
 	res.MVMMUnion = m.MVMM.UnionNodes()
 	res.VMM00Size = m.VMM00.NumNodes()
@@ -84,7 +80,7 @@ func Table7(m *Models) (Table7Result, error) {
 
 // Render prints Table VII.
 func (r Table7Result) Render(w io.Writer) {
-	heading(w, "Table VII — Memory footprint for all methods (bytes; interpreted models serialized, compiled MVMM as the mmapped serving blob)")
+	heading(w, "Table VII — Memory footprint for all methods (bytes; interpreted models serialized, compiled MVMM as the stored CPS5 blob)")
 	rows := [][]string{}
 	for i, name := range r.Models {
 		rows = append(rows, []string{name, fmt.Sprint(r.Bytes[i]), fmt.Sprintf("%.2f MB", float64(r.Bytes[i])/1e6)})
@@ -92,10 +88,6 @@ func (r Table7Result) Render(w io.Writer) {
 	renderTable(w, []string{"Model", "Bytes", "MB"}, rows)
 	fmt.Fprintf(w, "  MVMM union-PST nodes: %d; VMM(0.0) nodes: %d (paper: union == full tree)\n",
 		r.MVMMUnion, r.VMM00Size)
-	if r.CPS3Bytes > 0 && r.CPS4Bytes > 0 {
-		fmt.Fprintf(w, "  compiled serving blob: CPS3 %d B -> quantised CPS4 %d B (%.1f%% smaller)\n",
-			r.CPS3Bytes, r.CPS4Bytes, 100*(1-float64(r.CPS4Bytes)/float64(r.CPS3Bytes)))
-	}
 }
 
 // Fig12Result holds training time versus data size for every method.

@@ -36,7 +36,7 @@ type Transport interface {
 }
 
 // LoopbackTransport routes to in-process shard handlers — N serving handlers
-// (typically sharing one mmapped model) behind one router in a single
+// (typically sharing one loaded model) behind one router in a single
 // process. It is the zero-infrastructure deployment of the ring: the routing
 // behaviour, stickiness and cache partitioning are identical to the HTTP
 // transport, so a single process can validate a sharding plan before it is

@@ -299,9 +299,9 @@ func (m *MVMM) Covers(ctx query.Seq) bool {
 // UnionNodes returns the number of distinct PST nodes across all components
 // — the paper's single-tree deployment estimate for Table VII ("we can
 // actually combine all into a single PST"). internal/compiled realises that
-// estimate as the merged flat trie, and Table VII's compiled rows report
-// the resulting CPS3/CPS4 blob bytes exactly (a test pins them to
-// len(AppendFlat)); this count remains the node-level view.
+// estimate as the merged flat trie, and Table VII's compiled row reports
+// the resulting CPS5 blob bytes exactly (a test pins it to
+// len(AppendFlat5)); this count remains the node-level view.
 func (m *MVMM) UnionNodes() int {
 	union := make(map[string]struct{})
 	for _, c := range m.comps {

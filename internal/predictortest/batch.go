@@ -1,7 +1,6 @@
 package predictortest
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/compiled"
@@ -16,22 +15,14 @@ type batchPredictor interface {
 	PredictBatch(ctxs []query.Seq, ns []int, emit func(i int, preds []model.Prediction))
 }
 
-// parallelBatchPredictor is the worker-fanned variant: answers must be
-// bit-identical to the sequential batch for every worker count.
-type parallelBatchPredictor interface {
-	PredictBatchParallel(ctxs []query.Seq, ns []int, workers int, emit func(i int, preds []model.Prediction))
-}
-
 // checkBatch verifies batched prediction against the one-context-at-a-time
 // baseline. Every family runs the replay check (a second sequential pass
 // over a batch-shaped workload matches the first); families exposing
-// PredictBatch / PredictBatchParallel must additionally emit exactly once
-// per index with answers bit-identical to PredictInto — under every worker
-// count, since parallel descent promises byte-for-byte the same results.
+// PredictBatch must additionally emit exactly once per index with answers
+// bit-identical to PredictInto.
 func checkBatch(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
 	t.Helper()
-	// A batch large enough to clear the parallel fan-out's sequential
-	// fallback, with repeated contexts (the dedup path) and varied n.
+	// A batch with repeated contexts (the dedup path) and varied n.
 	var bctxs []query.Seq
 	var ns []int
 	for len(bctxs) < 48 {
@@ -54,12 +45,9 @@ func checkBatch(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
 	collect := func(run func(emit func(i int, preds []model.Prediction))) [][]model.Prediction {
 		got := make([][]model.Prediction, len(bctxs))
 		emitted := make([]int, len(bctxs))
-		var mu sync.Mutex
 		run(func(i int, preds []model.Prediction) {
-			mu.Lock()
 			emitted[i]++
 			got[i] = append([]model.Prediction(nil), preds...)
-			mu.Unlock()
 		})
 		for i, n := range emitted {
 			if n != 1 {
@@ -73,16 +61,6 @@ func checkBatch(t *testing.T, p compiled.Predictor, ctxs []query.Seq) {
 		got := collect(func(emit func(int, []model.Prediction)) { bp.PredictBatch(bctxs, ns, emit) })
 		for i := range want {
 			assertSamePreds(t, "PredictBatch", i, got[i], want[i])
-		}
-	}
-	if pp, ok := p.(parallelBatchPredictor); ok {
-		for _, workers := range []int{0, 1, 2, 3, 8} {
-			got := collect(func(emit func(int, []model.Prediction)) {
-				pp.PredictBatchParallel(bctxs, ns, workers, emit)
-			})
-			for i := range want {
-				assertSamePreds(t, "PredictBatchParallel", i, got[i], want[i])
-			}
 		}
 	}
 }

@@ -47,8 +47,8 @@
 // handling never takes a lock: the recommender is immutable and swapped
 // behind one atomic pointer, and every request observes a consistent
 // (model, generation) pair. /healthz and /metrics additionally report the
-// served compiled blob's encoding (CPS3/CPS4), byte length and quantised
-// flag, so the memory/accuracy trade chosen at save time is observable.
+// served compiled blob's encoding (CPS5), byte length and quantised flag,
+// so the provenance of the served model is observable.
 package serve
 
 import (
@@ -109,12 +109,11 @@ type BatchResponse struct {
 // Health is the /healthz payload. Compiled reports whether requests are
 // served from the flat single-PST form (the expected state; false means the
 // interpreted-mixture fallback), CompiledNodes its merged trie size, and
-// Quantised whether that form is the fixed-point CPS4 encoding (bounded
-// probability error) rather than exact float64. LoadMode ("trained", "heap"
-// or "mmap") and LoadMicros report how and how fast the current model
-// materialised, and BlobFormat/BlobBytes what is actually mapped or decoded
-// — the served memory footprint — so cold-start behaviour and memory cost
-// are observable in production.
+// Quantised whether that form was decoded from the fixed-point CPS5 blob
+// (bounded probability error) rather than compiled exactly in process.
+// LoadMode ("trained" or "heap") and LoadMicros report how and how fast the
+// current model materialised, and BlobFormat/BlobBytes which blob was
+// decoded, so cold-start behaviour is observable in production.
 type Health struct {
 	Status        string `json:"status"`
 	KnownQueries  int    `json:"known_queries"`
@@ -129,7 +128,6 @@ type Health struct {
 	LoadVersion   string `json:"model_load_version,omitempty"`
 	BlobFormat    string `json:"model_blob_format,omitempty"`
 	BlobBytes     int64  `json:"model_blob_bytes,omitempty"`
-	MapAdvice     string `json:"model_map_advice,omitempty"`
 	LoadMicros    int64  `json:"model_load_us,omitempty"`
 }
 
@@ -604,7 +602,6 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 	resp.LoadVersion = li.Version
 	resp.BlobFormat = li.Format
 	resp.BlobBytes = li.BlobBytes
-	resp.MapAdvice = li.MapAdvice
 	resp.LoadMicros = li.Duration.Microseconds()
 	writeJSON(w, http.StatusOK, resp)
 }
